@@ -27,7 +27,7 @@ from . import counterexample as ce
 from . import sequences
 from .operators import CondExpOperator, iterate
 from .space import StructuralError
-from .spacefile import SpaceBundle, SpaceFormatError, load_space_file, space_file_dict, write_space_file
+from .spacefile import SpaceBundle, load_space_file, space_file_dict, write_space_file
 from .sufficiency import (
     SuiteReport,
     check_sufficient,
@@ -374,10 +374,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"condexp: usage error: {exc}", file=sys.stderr)
         return EX_USAGE
-    except SpaceFormatError as exc:
-        print(f"condexp: input error: {exc}", file=sys.stderr)
-        return EX_DATA
-    except StructuralError as exc:
+    except StructuralError as exc:    # SpaceFormatError included
         print(f"condexp: input error: {exc}", file=sys.stderr)
         return EX_DATA
 

@@ -27,7 +27,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .space import MeasureFamily, OutcomeSpace, Partition, StructuralError, as_vector, join
+from .space import (MeasureFamily, OutcomeSpace, Partition, StructuralError, as_vector,
+                    is_measurable, join)
 from .sufficiency import SuiteReport, check_sufficient
 
 
@@ -267,26 +268,17 @@ def finite_truncation(radii: Iterable) -> Truncation:
         raise StructuralError(f"duplicate radius {dup}")
     order = sorted(converted)
     points = tuple(ReflectionPoint(r, s1, s2) for r in order for s1, s2 in SIGN_ORDER)
-    n = len(points)
-    weights = np.zeros((len(order), n))
-    p1_blocks: list[list[int]] = []
-    p2_blocks: list[list[int]] = []
-    for k in range(len(order)):
-        base = 4 * k
-        weights[k, base: base + 4] = 0.25
-        p1_blocks += [[base, base + 1], [base + 2, base + 3]]   # first sign fixed
-        p2_blocks += [[base, base + 2], [base + 1, base + 3]]   # second sign fixed
-    p1 = Partition(p1_blocks)
-    p2 = Partition(p2_blocks)
-    diag = frozenset(i for i, pt in enumerate(points) if in_diagonal(pt))
-    full_join = join(p1, p2)
-    diag_partition = Partition([sorted(diag), sorted(set(range(n)) - diag)])
+    outcome = np.arange(len(points))
+    p1 = Partition._from_labels(outcome // 2)                    # first sign fixed
+    p2 = Partition._from_labels(outcome // 4 * 2 + outcome % 2)  # second sign fixed
+    on_diagonal = np.array([in_diagonal(pt) for pt in points])
+    diag = frozenset(np.flatnonzero(on_diagonal).tolist())
     return Truncation(
         space=OutcomeSpace(str(pt) for pt in points),
-        family=MeasureFamily(weights),
+        family=MeasureFamily(np.kron(np.eye(len(order)), np.full(4, 0.25))),
         p1=p1,
         p2=p2,
-        diagonal_field=join(full_join, diag_partition),
+        diagonal_field=join(join(p1, p2), Partition._from_labels(on_diagonal.astype(np.intp))),
         points=points,
         diagonal_indices=diag,
     )
@@ -307,12 +299,9 @@ def verify_g_construction(radii: Iterable, f) -> SuiteReport:
     for fam, p in ((1, t.p1), (2, t.p2)):
         perm = t.reflection_permutation(fam)
         g = 0.5 * (v + v[perm])
-        worst = 0.0
-        for row in t.family.weights:
-            for block in p.blocks:
-                idx = list(block)
-                worst = max(worst, abs(float(np.dot(row[idx], g[idx] - v[idx]))))
-        constant = all(len(set(g[list(b)])) == 1 for b in p.blocks)
+        worst = max(float(np.max(np.abs(np.bincount(p.block_of, weights=row * (g - v)))))
+                    for row in t.family.weights)
+        constant = is_measurable(g, p)
         agrees = check_sufficient(t.family, p).sufficient
         details[f"family{fam}_max_violation"] = worst
         details[f"family{fam}_g_measurable"] = constant

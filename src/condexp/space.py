@@ -105,131 +105,142 @@ class MeasureFamily:
         return cls(np.asarray(weights, dtype=float)[None, :])
 
 
-@dataclass(frozen=True)
+def _canonical(labels: np.ndarray) -> tuple[np.ndarray, int]:
+    """Non-negative labels renumbered 0, 1, ... by first appearance, and their count."""
+    n = labels.size
+    if labels.max() >= 2 * n:   # sparse codes (a join's label pairs): compress first
+        labels = np.unique(labels, return_inverse=True)[1]
+    first = np.full(int(labels.max()) + 1, n)
+    np.minimum.at(first, labels, np.arange(n))
+    used = np.flatnonzero(first < n)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[used[np.argsort(first[used])]] = np.arange(used.size)
+    return rank[labels], used.size
+
+
+@dataclass(frozen=True, eq=False)
 class Partition:
     """Disjoint non-empty index blocks covering ``0..n-1``.
 
-    Blocks are kept in canonical order (each block sorted, blocks sorted
-    by least element), so equality of partitions is plain structural
-    equality.
+    Stored as one read-only label array: ``block_of[i]`` is the block of
+    outcome ``i``, with blocks numbered in order of their least outcome.
+    That numbering is canonical, so two partitions are equal iff their
+    label arrays are.  ``blocks`` is derived from it.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    block_of: np.ndarray
+    k: int
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
-        raw = [tuple(sorted(int(i) for i in b)) for b in blocks]
-        for b in raw:
-            if not b:
+        parts = []
+        for j, b in enumerate(blocks):
+            b = b if isinstance(b, np.ndarray) else list(b)
+            a = np.asarray(b)
+            # integral numbers only: booleans, strings, fractions and inf are
+            # refused rather than truncated
+            if (a.ndim != 1 or a.dtype.kind not in "iuf"
+                    or not np.all(np.isfinite(a) & (a == np.round(a)))
+                    or isinstance(b, list) and not {bool, np.bool_}.isdisjoint(map(type, b))):
+                raise StructuralError(f"block {j} holds an outcome index that is not an integer")
+            if not a.size:
                 raise StructuralError("blocks must be non-empty")
-            if b[0] < 0:
-                raise StructuralError(f"negative outcome index {b[0]}")
-        canon = tuple(sorted(raw, key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", canon)
-        seen: set[int] = set()
-        for b in canon:
-            for i in b:
-                if i in seen:
-                    raise StructuralError(f"blocks overlap at index {i}")
-                seen.add(i)
-        if not seen:
+            parts.append(a)
+        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        n = flat.size
+        if flat.min(initial=0) < 0:
+            raise StructuralError(f"negative outcome index {int(flat.min())}")
+        # an index at or past n leaves some index below n uncovered
+        inside = flat < n
+        counts = np.bincount(flat[inside].astype(np.intp), minlength=n)
+        if np.any(counts > 1):
+            raise StructuralError(f"blocks overlap at index {int(np.argmax(counts > 1))}")
+        if not inside.all():
+            raise StructuralError(f"blocks do not cover index {int(np.argmin(counts))}")
+        labels = np.empty(n, dtype=np.intp)
+        labels[flat.astype(np.intp)] = np.repeat(np.arange(len(parts)), [a.size for a in parts])
+        self._adopt(labels)
+
+    def _adopt(self, labels: np.ndarray) -> None:
+        if labels.size == 0:
             raise StructuralError("a partition needs at least one block")
-        if seen != set(range(len(seen))):
-            missing = min(set(range(max(seen) + 1)) - seen)
-            raise StructuralError(f"blocks do not cover index {missing}")
+        block_of, k = _canonical(labels)
+        block_of.setflags(write=False)
+        object.__setattr__(self, "block_of", block_of)
+        object.__setattr__(self, "k", k)
+
+    @classmethod
+    def _from_labels(cls, labels: np.ndarray) -> "Partition":
+        """The partition whose blocks are the level sets of ``labels``."""
+        p = cls.__new__(cls)
+        p._adopt(labels)
+        return p
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Partition):
+            return NotImplemented
+        return np.array_equal(self.block_of, other.block_of)
+
+    def __hash__(self) -> int:
+        return hash(self.block_of.tobytes())
 
     @property
     def n(self) -> int:
-        return sum(len(b) for b in self.blocks)
-
-    @property
-    def k(self) -> int:
-        """Number of blocks."""
-        return len(self.blocks)
+        return self.block_of.size
 
     @cached_property
-    def block_of(self) -> np.ndarray:
-        """Array mapping each outcome index to its block index."""
-        out = np.empty(self.n, dtype=np.intp)
-        for j, b in enumerate(self.blocks):
-            out[list(b)] = j
-        out.setflags(write=False)
-        return out
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Sorted index tuples, ordered by least element."""
+        members = np.argsort(self.block_of, kind="stable").tolist()
+        ends = np.cumsum(np.bincount(self.block_of)).tolist()
+        return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
     def refines(self, other: "Partition") -> bool:
         """True iff every block of self lies inside a block of ``other``."""
-        if self.n != other.n:
-            raise StructuralError(f"partition sizes differ: {self.n} vs {other.n}")
-        coarse = other.block_of
-        return all(len(set(coarse[list(b)])) == 1 for b in self.blocks)
+        _check_same_space(self, other)
+        # the block of `other` that each own block lands in, if it lands in one
+        coarse = np.empty(self.k, dtype=np.intp)
+        coarse[self.block_of] = other.block_of
+        return np.array_equal(coarse[self.block_of], other.block_of)
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
-        return cls([i] for i in range(n))
+        return cls._from_labels(np.arange(n))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
-        return cls([range(n)])
+        return cls._from_labels(np.zeros(n, dtype=np.intp))
 
 
-class _UnionFind:
-    """Union-find with path compression and union by rank."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.rank = [0] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: int, y: int) -> None:
-        x, y = self.find(x), self.find(y)
-        if x == y:
-            return
-        if self.rank[x] < self.rank[y]:
-            x, y = y, x
-        elif self.rank[x] == self.rank[y]:
-            self.rank[x] += 1
-        self.parent[y] = x
-
-
-def _check_same_space(p1: Partition, p2: Partition) -> int:
+def _check_same_space(p1: Partition, p2: Partition) -> None:
     if p1.n != p2.n:
         raise StructuralError(f"partition sizes differ: {p1.n} vs {p2.n}")
-    return p1.n
 
 
 def meet(p1: Partition, p2: Partition) -> Partition:
     """Finest partition coarser than both: the intersection of the fields.
 
-    Outcomes end up together iff they are linked by a chain of shared
-    blocks, i.e. the blocks are the connected components of the graph
-    whose edges join outcomes sharing a block in either partition.
+    Its blocks are the connected components of the graph on the k1 + k2
+    blocks of both partitions with one edge per outcome.  Each round hooks
+    roots onto smaller roots, then pointer-jumps the trees to stars
+    (Shiloach-Vishkin 1982), so even a chain of blocks takes few rounds.
     """
-    n = _check_same_space(p1, p2)
-    uf = _UnionFind(n)
-    for p in (p1, p2):
-        for b in p.blocks:
-            for i in b[1:]:
-                uf.union(b[0], i)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return Partition(groups.values())
+    _check_same_space(p1, p2)
+    u, v = p1.block_of, p2.block_of + p1.k
+    parent = np.arange(p1.k + p2.k)
+    while u.size:
+        ru, rv = parent[u], parent[v]
+        cross = ru != rv        # edges inside one tree stay inside it
+        u, v, ru, rv = u[cross], v[cross], ru[cross], rv[cross]
+        np.minimum.at(parent, np.maximum(ru, rv), np.minimum(ru, rv))
+        while not np.array_equal(parent[parent], parent):
+            parent = parent[parent]
+    return Partition._from_labels(parent[p1.block_of])
 
 
 def join(p1: Partition, p2: Partition) -> Partition:
     """Common refinement: all non-empty pairwise block intersections."""
-    n = _check_same_space(p1, p2)
-    groups: dict[tuple[int, int], list[int]] = {}
-    b1, b2 = p1.block_of, p2.block_of
-    for i in range(n):
-        groups.setdefault((b1[i], b2[i]), []).append(i)
-    return Partition(groups.values())
+    _check_same_space(p1, p2)
+    return Partition._from_labels(p1.block_of * p2.k + p2.block_of)
 
 
 def null_set(family: MeasureFamily) -> frozenset[int]:
@@ -243,15 +254,12 @@ def completion(p: Partition, nulls: Iterable[int]) -> Partition:
     Null outcomes are split into their own singleton blocks (never
     deleted, so vectors stay index-aligned); the rest keep their block.
     """
-    dead = set(int(i) for i in nulls)
-    if dead and not dead <= set(range(p.n)):
+    dead = np.fromiter(nulls, dtype=np.intp)
+    if dead.size and (dead.min() < 0 or dead.max() >= p.n):
         raise StructuralError("null indices must lie in the partition's index range")
-    blocks: list[Iterable[int]] = [[i] for i in dead]
-    for b in p.blocks:
-        alive = [i for i in b if i not in dead]
-        if alive:
-            blocks.append(alive)
-    return Partition(blocks)
+    labels = p.block_of.copy()
+    labels[dead] = p.k + dead
+    return Partition._from_labels(labels)
 
 
 def is_measurable(x, p: Partition, tol: float = 0.0) -> bool:
@@ -261,8 +269,7 @@ def is_measurable(x, p: Partition, tol: float = 0.0) -> bool:
     by floating-point arithmetic.
     """
     v = as_vector(x, p.n)
-    for b in p.blocks:
-        vals = v[list(b)]
-        if vals.max() - vals.min() > tol:
-            return False
-    return True
+    top, bottom = np.full(p.k, -np.inf), np.full(p.k, np.inf)
+    np.maximum.at(top, p.block_of, v)
+    np.minimum.at(bottom, p.block_of, v)
+    return bool(np.all(top - bottom <= tol))

@@ -8,8 +8,8 @@ A space file bundles labels, a measure family, and named partitions:
       "partitions": {"rows": [[0, 1], [2, 3]]}
     }
 
-Indices are 0-based.  Overlapping or non-covering partition blocks are
-rejected with a diagnostic naming the offending index.
+Indices are 0-based integers.  Overlapping or non-covering partition
+blocks are rejected with a diagnostic naming the offending index.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def parse_space_data(data) -> SpaceBundle:
     for name, blocks in (data.get("partitions") or {}).items():
         try:
             p = Partition(blocks)
-        except (StructuralError, TypeError) as exc:
+        except (TypeError, ValueError) as exc:    # StructuralError is a ValueError
             raise SpaceFormatError(f"bad partition {name!r}: {exc}") from exc
         if p.n != space.n:
             raise SpaceFormatError(

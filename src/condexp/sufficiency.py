@@ -16,6 +16,7 @@ each measure can see.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -31,6 +32,9 @@ from .space import (
     null_set,
 )
 
+# Conditional weight profiles lie in [0, 1], so check_sufficient takes
+# AGREEMENT_ATOL as it is; wherever a test function f is compared, both
+# tolerances scale with max|f| over the outcomes some measure charges.
 AGREEMENT_ATOL = 1e-10
 TRAJECTORY_TOL = 1e-9
 
@@ -61,24 +65,37 @@ class SufficiencyCertificate:
     partition: Partition
     g: np.ndarray | None = None
     witness: Witness | None = None
-    block_conditionals: tuple[np.ndarray | None, ...] | None = None
+    # the shared profiles as one outcome-indexed vector, 0 on uncharged blocks
+    _profile: np.ndarray | None = field(default=None, repr=False)
+
+    @cached_property
+    def block_conditionals(self) -> tuple[np.ndarray | None, ...] | None:
+        if self._profile is None:
+            return None
+        pieces = (self._profile[list(b)] for b in self.partition.blocks)
+        return tuple(c if c.any() else None for c in pieces)
 
     def conditional_mean(self, f) -> np.ndarray:
-        if self.block_conditionals is None:
+        if self._profile is None:
             raise StructuralError("no shared conditionals: certificate is negative")
-        v = as_vector(f, self.partition.n)
-        out = np.zeros(self.partition.n)
-        for block, cond in zip(self.partition.blocks, self.block_conditionals):
-            idx = list(block)
-            out[idx] = float(np.dot(cond, v[idx])) if cond is not None else 0.0
-        return out
+        p = self.partition
+        v = as_vector(f, p.n)
+        return np.bincount(p.block_of, weights=self._profile * v, minlength=p.k)[p.block_of]
 
 
 def _check_sizes(family: MeasureFamily, p: Partition) -> None:
     if family.n != p.n:
-        raise StructuralError(
-            f"family is over {family.n} outcomes but partition covers {p.n}"
-        )
+        raise StructuralError(f"family is over {family.n} outcomes but partition covers {p.n}")
+
+
+def _block_sums(p: Partition, rows: np.ndarray) -> np.ndarray:
+    """Sum of each row over each block: an m x k table."""
+    return np.stack([np.bincount(p.block_of, weights=r, minlength=p.k) for r in rows])
+
+
+def _f_scale(family: MeasureFamily, v: np.ndarray) -> float:
+    """Largest |f| over the outcomes some measure charges."""
+    return float(np.max(np.abs(v), where=family.weights.any(axis=0), initial=0.0))
 
 
 def check_sufficient(family: MeasureFamily, p: Partition,
@@ -87,40 +104,31 @@ def check_sufficient(family: MeasureFamily, p: Partition,
 
     For each block, every measure with positive mass on the block must
     induce the same conditional weight vector there; measures with zero
-    mass on a block impose no constraint.  The decision is total: the
-    result is always a certificate, never an exception.
+    mass on a block impose no constraint.  The witness is the first block
+    (then the first measure) that deviates from the first measure charging
+    the block.  The decision is total: the result is always a certificate,
+    never an exception.
     """
     _check_sizes(family, p)
-    w = family.weights
-    conditionals: list[np.ndarray | None] = []
-    for b_idx, block in enumerate(p.blocks):
-        idx = list(block)
-        sub = w[:, idx]
-        mass = sub.sum(axis=1)
-        charged = np.flatnonzero(mass > 0)
-        if charged.size == 0:
-            conditionals.append(None)
-            continue
-        ref = int(charged[0])
-        cond_ref = sub[ref] / mass[ref]
-        for gamma in charged[1:]:
-            cond = sub[gamma] / mass[gamma]
-            dev = np.abs(cond - cond_ref)
-            worst = int(np.argmax(dev))
-            if dev[worst] > atol:
-                witness = Witness(
-                    gamma=ref,
-                    gamma_prime=int(gamma),
-                    block_index=b_idx,
-                    description=(
-                        f"indicator of outcome {idx[worst]} conditioned on "
-                        f"block {b_idx} {tuple(block)}"
-                    ),
-                    violation=float(dev[worst]),
-                )
-                return SufficiencyCertificate(False, p, witness=witness)
-        conditionals.append(cond_ref)
-    return SufficiencyCertificate(True, p, block_conditionals=tuple(conditionals))
+    w, lab = family.weights, p.block_of
+    mass = _block_sums(p, w)
+    charged = mass > 0
+    ref = np.argmax(charged, axis=0)            # first measure charging each block
+    with np.errstate(invalid="ignore", divide="ignore"):
+        cond = w / mass[:, lab]
+    profile = cond[ref[lab], np.arange(p.n)]
+    dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
+    gammas, outcomes = np.nonzero(dev > atol)
+    if gammas.size:
+        first = np.argmin(lab[outcomes] * family.m + gammas)
+        b, gamma = int(lab[outcomes[first]]), int(gammas[first])
+        idx = np.flatnonzero(lab == b)
+        worst = int(idx[np.argmax(dev[gamma, idx])])
+        witness = Witness(int(ref[b]), gamma, b, f"indicator of outcome {worst} conditioned "
+                          f"on block {b} {tuple(idx.tolist())}", float(dev[gamma, worst]))
+        return SufficiencyCertificate(False, p, witness=witness)
+    profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
+    return SufficiencyCertificate(True, p, _profile=profile)
 
 
 def check_sufficient_for_f(family: MeasureFamily, p: Partition, f,
@@ -128,33 +136,30 @@ def check_sufficient_for_f(family: MeasureFamily, p: Partition, f,
     """Decide whether one block function can serve ``f`` under every measure.
 
     Per block there is a single unknown value; it must equal the
-    conditional mean of ``f`` for every measure charging the block.
-    Blocks charged by no measure get the value 0.
+    conditional mean of ``f`` for every measure charging the block, within
+    ``atol`` times the largest |f| over charged outcomes (so the verdict
+    does not change when f is scaled).  Blocks charged by no measure get
+    the value 0.
     """
     _check_sizes(family, p)
     v = as_vector(f, p.n)
     w = family.weights
-    g = np.zeros(p.n)
-    for b_idx, block in enumerate(p.blocks):
-        idx = list(block)
-        sub = w[:, idx]
-        mass = sub.sum(axis=1)
-        charged = np.flatnonzero(mass > 0)
-        if charged.size == 0:
-            continue
-        means = sub[charged] @ v[idx] / mass[charged]
-        spread = np.abs(means - means[0])
-        worst = int(np.argmax(spread))
-        if spread[worst] > atol:
-            witness = Witness(
-                gamma=int(charged[0]),
-                gamma_prime=int(charged[worst]),
-                block_index=b_idx,
-                description=f"conditional means of f on block {b_idx} {tuple(block)}",
-                violation=float(spread[worst]),
-            )
-            return SufficiencyCertificate(False, p, witness=witness)
-        g[idx] = means[0]
+    mass = _block_sums(p, w)
+    charged = mass > 0
+    ref = np.argmax(charged, axis=0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        means = _block_sums(p, w * v) / mass
+    shared = means[ref, np.arange(p.k)]
+    spread = np.where(charged, np.abs(means - shared), 0.0)
+    bad = np.flatnonzero(np.any(spread > atol * _f_scale(family, v), axis=0))
+    if bad.size:
+        b = int(bad[0])
+        worst = int(np.argmax(spread[:, b]))
+        block = tuple(np.flatnonzero(p.block_of == b).tolist())
+        witness = Witness(int(ref[b]), worst, b, f"conditional means of f on block {b} {block}",
+                          float(spread[worst, b]))
+        return SufficiencyCertificate(False, p, witness=witness)
+    g = np.where(charged.any(axis=0), shared, 0.0)[p.block_of]
     return SufficiencyCertificate(True, p, g=g)
 
 
@@ -256,6 +261,7 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     rounds = 0
     ips = [WeightedInnerProduct(family.row(g)) for g in range(family.m)]
     settle = 1e-14 * max(1.0, float(np.max(np.abs(v))))
+    tol = TRAJECTORY_TOL * _f_scale(family, v)
     for rounds in range(1, max_rounds + 1):
         p = p1 if rounds % 2 == 1 else p2
         nxt = _shared_conditional(family, p, shared)
@@ -275,11 +281,11 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     limit_gap = (max(ip.distinf(shared, direct.g) for ip in ips)
                  if direct.sufficient else float("inf"))
     measurable = all(
-        ip.distinf(shared, CondExpOperator(ground, family.row(g)).apply(shared)) <= TRAJECTORY_TOL
+        ip.distinf(shared, CondExpOperator(ground, family.row(g)).apply(shared)) <= tol
         for g, ip in enumerate(ips)
     )
-    passed = (meet_cert.sufficient and divergence <= TRAJECTORY_TOL
-              and limit_gap <= TRAJECTORY_TOL and measurable)
+    passed = (meet_cert.sufficient and divergence <= tol
+              and limit_gap <= tol and measurable)
     return SuiteReport(
         name,
         hypothesis_met=True,
@@ -344,7 +350,7 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
     )
     stable_cert = check_sufficient(family, stable)
     passed = (stable_cert.sufficient and folded == stable
-              and tail_gap <= TRAJECTORY_TOL)
+              and tail_gap <= TRAJECTORY_TOL * _f_scale(family, v))
     return SuiteReport(
         name,
         hypothesis_met=True,

@@ -3,7 +3,8 @@
 Everything here deliberately avoids the library's own fast paths: meets
 via transitive closure, joins via set intersections, operators as explicit
 matrices built from basis vectors, sufficiency by exhaustive indicator
-checking.  Tests compare the library against these.
+checking or by plain loops over blocks.  Tests compare the library
+against these.
 """
 
 from __future__ import annotations
@@ -23,6 +24,22 @@ def random_partition(rng, n: int, max_blocks: int | None = None) -> Partition:
     for i, b in enumerate(assignment):
         blocks.setdefault(int(b), []).append(i)
     return Partition(blocks.values())
+
+
+def canonical_labels(labels) -> np.ndarray:
+    """Relabel blocks 0, 1, ... in order of their least outcome, via np.unique."""
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse.ravel()]
+
+
+def partition_of_labels(labels) -> Partition:
+    """Build a partition through the public block-list constructor."""
+    labels = np.asarray(labels)
+    order = np.argsort(labels, kind="stable")
+    ends = np.cumsum(np.unique(labels, return_counts=True)[1])[:-1]
+    return Partition(np.split(order, ends))
 
 
 def random_positive_measure(rng, n: int) -> np.ndarray:
@@ -206,3 +223,61 @@ def sufficient_bruteforce(family: MeasureFamily, p: Partition,
             if values and max(values) - min(values) > atol:
                 return False
     return True
+
+
+# ---------------------------------------------------------------------------
+# sufficiency as plain loops over blocks (the library computes it as tables)
+
+def check_sufficient_by_blocks(family: MeasureFamily, p: Partition, atol: float = 1e-10):
+    """The distributional criterion, one block and one measure at a time.
+
+    Returns ``(witness, conditionals)``: the witness as a tuple
+    ``(gamma, gamma_prime, block_index, description, violation)`` or None,
+    and, when sufficient, each block's shared profile (None where no
+    measure charges the block).
+    """
+    w = family.weights
+    conditionals = []
+    for b_idx, block in enumerate(p.blocks):
+        idx = list(block)
+        sub = w[:, idx]
+        mass = sub.sum(axis=1)
+        charged = np.flatnonzero(mass > 0)
+        if charged.size == 0:
+            conditionals.append(None)
+            continue
+        ref = int(charged[0])
+        cond_ref = sub[ref] / mass[ref]
+        for gamma in charged[1:]:
+            dev = np.abs(sub[gamma] / mass[gamma] - cond_ref)
+            worst = int(np.argmax(dev))
+            if dev[worst] > atol:
+                description = (f"indicator of outcome {idx[worst]} conditioned on "
+                               f"block {b_idx} {tuple(block)}")
+                return (ref, int(gamma), b_idx, description, float(dev[worst])), None
+        conditionals.append(cond_ref)
+    return None, tuple(conditionals)
+
+
+def check_sufficient_for_f_by_blocks(family: MeasureFamily, p: Partition, f, atol: float):
+    """The per-function check, one block at a time, against the absolute
+    tolerance ``atol``.  Returns ``(witness, g)`` as above."""
+    v = np.asarray(f, dtype=float)
+    w = family.weights
+    g = np.zeros(p.n)
+    for b_idx, block in enumerate(p.blocks):
+        idx = list(block)
+        sub = w[:, idx]
+        mass = sub.sum(axis=1)
+        charged = np.flatnonzero(mass > 0)
+        if charged.size == 0:
+            continue
+        means = sub[charged] @ v[idx] / mass[charged]
+        spread = np.abs(means - means[0])
+        worst = int(np.argmax(spread))
+        if spread[worst] > atol:
+            description = f"conditional means of f on block {b_idx} {tuple(block)}"
+            return (int(charged[0]), int(charged[worst]), b_idx, description,
+                    float(spread[worst])), None
+        g[idx] = means[0]
+    return None, g

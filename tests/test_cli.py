@@ -208,6 +208,21 @@ def test_sufficiency_malformed_space_file(tmp_path, capsys):
     assert "overlap at index 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_block", [
+    "[0.5, 1]",      # fractional: used to truncate to 0 and pass
+    '["a", 1]',      # not a number: used to crash with a traceback
+    "[0, 1e400]",    # not finite once parsed: used to crash with a traceback
+])
+def test_sufficiency_rejects_non_integer_indices(tmp_path, capsys, bad_block):
+    text = json.dumps(dict(COIN, partitions={"sum": [[0], [1, 2], [3]], "odd": "BAD"}))
+    path = tmp_path / "bad.json"
+    path.write_text(text.replace('"BAD"', f"[{bad_block}, [2, 3]]"))
+    code = main(["sufficiency", "--space", str(path), "--partition", "sum"])
+    assert code == 65
+    err = capsys.readouterr().err
+    assert "bad partition 'odd'" in err and "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # counterexample
 

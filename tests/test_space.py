@@ -1,5 +1,8 @@
 """Partition lattice, measure families, and measurability."""
 
+import time
+
+import numpy as np
 import pytest
 
 from condexp import (
@@ -16,8 +19,10 @@ from condexp import (
 from condexp.rng import portable_rng
 
 from helpers import (
+    canonical_labels,
     join_oracle,
     meet_oracle,
+    partition_of_labels,
     random_partition,
     sigma_closure,
     sigma_sets,
@@ -53,6 +58,39 @@ def test_partition_canonical_order():
 def test_partition_rejects_bad_blocks(blocks):
     with pytest.raises(StructuralError):
         Partition(blocks)
+
+
+@pytest.mark.parametrize("blocks", [
+    [[0.5, 1]],              # fractional: would truncate to 0
+    [["a", 1]],              # not a number
+    [[0, float("inf")]],     # not finite
+    [[0, float("nan")]],
+    [[True, 1]],             # booleans are not indices
+    [[np.True_, 1]],
+    [np.array([True, False])],
+    [[0, 10 ** 30]],         # beyond any index type
+    [[[0], [1]]],            # nested one level too deep
+])
+def test_partition_rejects_non_integer_indices(blocks):
+    with pytest.raises(StructuralError):
+        Partition(blocks)
+
+
+def test_partition_accepts_integral_numbers_of_any_type():
+    expected = Partition([[0, 1], [2]])
+    assert Partition([[0.0, 1.0], [2]]) == expected
+    assert Partition([np.array([1, 0], dtype=np.uint8), (2,)]) == expected
+    assert Partition([range(2), {2}]) == expected
+
+
+def test_partition_is_one_canonical_label_array():
+    p = Partition([[4, 2], [3], [1, 0]])
+    assert p.block_of.tolist() == [0, 0, 1, 2, 1]
+    assert p.k == 3 and p.n == 5
+    assert not p.block_of.flags.writeable
+    assert p.blocks == ((0, 1), (2, 4), (3,))
+    assert hash(p) == hash(Partition([[0, 1], [3], [2, 4]]))
+    assert p != Partition.singletons(5) and p != "not a partition"
 
 
 def test_measure_family_validation():
@@ -204,3 +242,90 @@ def test_measurability_monotone_under_refinement():
             x[list(b)] = x[b[0]]
         assert is_measurable(x, coarse)
         assert is_measurable(x, finer)
+
+
+# ---------------------------------------------------------------------------
+# the array kernels at scale, against scipy and np.unique oracles
+
+def _labels(rng, n, k):
+    return rng.integers(0, k, n)
+
+
+@pytest.mark.parametrize("k1, k2", [(2_000, 2_000), (15_000, 9_000), (3, 12_000), (1, 20_000)])
+def test_meet_join_match_graph_and_unique_oracles(k1, k2):
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    sparse = pytest.importorskip("scipy.sparse")
+    rng = portable_rng(k1 + k2)
+    n = 20_000
+    a, b = _labels(rng, n, k1), _labels(rng, n, k2)
+    p1, p2 = partition_of_labels(a), partition_of_labels(b)
+    graph = sparse.coo_matrix((np.ones(n), (a, k1 + b)), shape=(k1 + k2, k1 + k2))
+    _, component = csgraph.connected_components(graph, directed=False)
+    assert np.array_equal(meet(p1, p2).block_of, canonical_labels(component[a]))
+    pairs = np.unique(np.stack([a, b], axis=1), axis=0, return_inverse=True)[1]
+    assert np.array_equal(join(p1, p2).block_of, canonical_labels(pairs.ravel()))
+
+
+def test_completion_matches_unique_oracle():
+    rng = portable_rng(41)
+    n = 20_000
+    labels = _labels(rng, n, 500)
+    p = partition_of_labels(labels)
+    dead = rng.choice(n, size=3_000, replace=False)
+    expected = labels.copy()
+    expected[dead] = 500 + np.arange(dead.size)
+    assert np.array_equal(completion(p, frozenset(dead.tolist())).block_of,
+                          canonical_labels(expected))
+
+
+def test_meet_of_shuffled_chain_is_fast():
+    # block i of p1 holds chain positions 2i, 2i+1 and block i of p2 holds
+    # 2i-1, 2i, so the meet is one block reached through a chain of n blocks
+    rng = portable_rng(42)
+    n = 100_000
+    position = rng.permutation(n)
+    p1 = partition_of_labels(position // 2)
+    p2 = partition_of_labels((position + 1) // 2)
+    start = time.perf_counter()
+    result = meet(p1, p2)
+    elapsed = time.perf_counter() - start
+    assert result == Partition.trivial(n)
+    assert elapsed < 2.0, f"meet of a {n}-outcome chain took {elapsed:.2f} s"
+
+
+def test_singleton_and_trivial_partitions_at_scale():
+    rng = portable_rng(43)
+    n = 10_000
+    p = partition_of_labels(_labels(rng, n, 700))
+    single, whole = Partition.singletons(n), Partition.trivial(n)
+    assert single.k == n and whole.k == 1
+    assert single.blocks == tuple((i,) for i in range(n))
+    assert meet(p, single) == p and join(p, single) == single
+    assert meet(p, whole) == whole and join(p, whole) == p
+    assert single.refines(p) and p.refines(whole) and not whole.refines(p)
+    assert is_measurable(np.full(n, 3.0), whole)
+    assert not is_measurable(np.arange(n, dtype=float), whole)
+    assert is_measurable(np.arange(n, dtype=float), single)
+
+
+def test_all_null_completions_are_singletons():
+    everything = range(6)
+    for p in (Partition.trivial(6), Partition.singletons(6), Partition([[0, 5], [1, 2, 3, 4]])):
+        assert completion(p, everything) == Partition.singletons(6)
+        assert completion(p, list(everything) * 2) == Partition.singletons(6)
+
+
+def test_completion_rejects_out_of_range_nulls():
+    with pytest.raises(StructuralError):
+        completion(Partition.trivial(3), {3})
+    with pytest.raises(StructuralError):
+        completion(Partition.trivial(3), {-1})
+
+
+def test_refines_against_block_oracle():
+    rng = portable_rng(44)
+    for _ in range(40):
+        n = int(rng.integers(1, 15))
+        p, q = random_partition(rng, n), random_partition(rng, n)
+        expected = all(any(set(b) <= set(c) for c in q.blocks) for b in p.blocks)
+        assert p.refines(q) == expected

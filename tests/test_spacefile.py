@@ -48,6 +48,20 @@ def test_coverage_diagnostic_names_index():
         parse_space_data(doc)
 
 
+@pytest.mark.parametrize("blocks", [
+    [[0, 1], [2, 3.5]],
+    [[0, 1], [2, None]],
+    [[0, 1], [2, False], [3]],
+    [[0, 1], [[2], [3, 4]]],      # ragged nesting
+    [[0, 1], 2, [3]],             # a bare index instead of a block
+    [[0, 1], [2, 3000000000000]],  # far past the last outcome
+])
+def test_malformed_partition_indices_name_the_partition(blocks):
+    doc = dict(GOOD, partitions={"rows": [[0, 1], [2, 3]], "odd": blocks})
+    with pytest.raises(SpaceFormatError, match="bad partition 'odd'"):
+        parse_space_data(doc)
+
+
 def test_partition_size_mismatch():
     doc = dict(GOOD, partitions={"short": [[0, 1]]})
     with pytest.raises(SpaceFormatError, match="covers 2 outcomes"):

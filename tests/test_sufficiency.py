@@ -18,8 +18,11 @@ from condexp import (
     null_set,
 )
 from condexp.rng import portable_rng
+from condexp.sufficiency import AGREEMENT_ATOL
 
 from helpers import (
+    check_sufficient_by_blocks,
+    check_sufficient_for_f_by_blocks,
     coarsen_within,
     dyadic_measure_rows,
     random_partition,
@@ -300,3 +303,92 @@ def test_countable_suite_flags_bad_first_partition():
     fam = bernoulli_pair()
     report = countable_intersection_suite(fam, [FIRST_COORD, SUM_PARTITION])
     assert not report.hypothesis_met
+
+
+# ---------------------------------------------------------------------------
+# the table computation against plain loops over blocks
+
+def _witness_fields(w):
+    return (w.gamma, w.gamma_prime, w.block_index, w.description, w.violation)
+
+
+def _assert_same_witness(mine, reference):
+    assert _witness_fields(mine)[:4] == reference[:4]
+    assert mine.violation == pytest.approx(reference[4], rel=1e-12, abs=1e-15)
+
+
+def _reference_cases():
+    """Families with null outcomes, uncharged blocks and both verdicts."""
+    rng = portable_rng(39)
+    for _ in range(150):
+        n = int(rng.integers(1, 14))
+        m = int(rng.integers(1, 5))
+        # few dyadic steps: many zero weights, so uncharged blocks and nulls
+        fam = MeasureFamily(dyadic_measure_rows(rng, m, n, denom_pow=int(rng.integers(2, 7))))
+        yield fam, random_partition(rng, n), rng.uniform(-1, 1, n)
+    for _ in range(50):
+        n = int(rng.integers(2, 20))
+        fam, base = shared_conditional_family(rng, n, m=3, k=max(1, n // 3))
+        yield fam, random_refinement(rng, base), rng.uniform(-1, 1, n)
+
+
+def test_check_sufficient_equals_block_loops():
+    verdicts = set()
+    for fam, p, _ in _reference_cases():
+        cert = check_sufficient(fam, p)
+        witness, conditionals = check_sufficient_by_blocks(fam, p)
+        verdicts.add(cert.sufficient)
+        assert cert.sufficient == (witness is None)
+        if witness is not None:
+            _assert_same_witness(cert.witness, witness)
+            continue
+        assert len(cert.block_conditionals) == len(conditionals)
+        for mine, ref in zip(cert.block_conditionals, conditionals):
+            assert (mine is None) == (ref is None)
+            if ref is not None:
+                assert np.allclose(mine, ref, rtol=1e-14, atol=1e-15)
+    assert verdicts == {True, False}
+
+
+def test_check_sufficient_for_f_equals_block_loops():
+    verdicts = set()
+    for fam, p, f in _reference_cases():
+        cert = check_sufficient_for_f(fam, p, f)
+        scale = np.max(np.abs(f[fam.weights.any(axis=0)]))
+        witness, g = check_sufficient_for_f_by_blocks(fam, p, f, AGREEMENT_ATOL * scale)
+        verdicts.add(cert.sufficient)
+        assert cert.sufficient == (witness is None)
+        if witness is not None:
+            _assert_same_witness(cert.witness, witness)
+        else:
+            assert np.allclose(cert.g, g, rtol=1e-13, atol=1e-15)
+            if check_sufficient(fam, p).sufficient:
+                assert np.allclose(check_sufficient(fam, p).conditional_mean(f), g,
+                                   rtol=1e-13, atol=1e-15)
+    assert verdicts == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# tolerances follow the scale of f
+
+def test_large_f_served_by_sufficient_refinement():
+    rng = portable_rng(40)
+    for _ in range(40):
+        n = int(rng.integers(4, 33))
+        fam, base = shared_conditional_family(rng, n, m=3, k=max(2, n // 3))
+        p = random_refinement(rng, base)
+        for scale in (1e-6, 1.0, 1e6, 1e9):
+            assert check_sufficient_for_f(fam, p, scale * rng.uniform(-1, 1, n)).sufficient
+
+
+def test_intersection_suite_with_large_f():
+    rng = portable_rng(41)
+    for _ in range(20):
+        n = int(rng.integers(4, 33))
+        fam, base = shared_conditional_family(rng, n, m=3, k=max(2, n // 3))
+        p1, p2 = random_refinement(rng, base), random_refinement(rng, base)
+        f = 1e6 * rng.uniform(-1, 1, n)
+        report = intersection_sufficiency_suite(fam, p1, p2, f=f)
+        assert report.hypothesis_met and report.passed, report.summary()
+        chain = decreasing_chain_suite(fam, [p1, meet(p1, p2)], f=f)
+        assert chain.hypothesis_met and chain.passed, chain.summary()
