@@ -26,11 +26,16 @@ t_cols = CondExpOperator(Partition([[0, 2], [1, 3]]), uniform)
 x = np.array([1.0, 2.0, 3.0, 4.0])
 report = iterate([t_rows, t_cols], x)
 
+# The report keeps one number per iterate, not the iterates themselves;
+# replay the alternation to show them.
 print("trajectory:")
-for k, vec in enumerate(report.trajectory, start=1):
+vec = x
+for k in range(1, report.iterations_used + 1):
+    vec = (t_rows, t_cols)[(k - 1) % 2].apply(vec)
     print(f"  S_{k} x = {vec}   |S_k x|^2 = {report.norms2[k - 1]:.4f}")
 print("converged:", report.converged, "after", report.iterations_used,
       "applications; residual", report.residual)
+print("stopped because:", report.stop_reason)
 
 # The meet of the two partitions is trivial, so the limit is the mean.
 q = direct_meet_operator([t_rows, t_cols])

@@ -130,12 +130,11 @@ def _cmd_iterate(args) -> int:
         raise UsageError("one of --x or --x-file is required")
     report = iterate(ops, x, tol=args.tol, max_iter=args.max_iter)
 
-    ip = ops[0].ip
     lines = ["iter,norm2_sq,diff2_sq,sup_residual"]
-    for k, vec in enumerate(report.trajectory):
-        diff = repr(float(report.diffs2[k])) if k < len(report.diffs2) else ""
-        lines.append(f"{k + 1},{float(report.norms2[k])!r},{diff},"
-                     f"{ip.distinf(vec, report.limit)!r}")
+    diffs = [repr(d) for d in report.diffs2.tolist()] + [""]
+    for k, (norm2, diff, residual) in enumerate(
+            zip(report.norms2.tolist(), diffs, report.residuals.tolist())):
+        lines.append(f"{k + 1},{norm2!r},{diff},{residual!r}")
     lines.append("# limit: " + " ".join(repr(float(v)) for v in report.limit))
     csv_text = "\n".join(lines) + "\n"
     if args.report:

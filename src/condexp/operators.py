@@ -15,6 +15,7 @@ only sense a finite space has.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -25,6 +26,7 @@ from .space import (
     MeasureFamily,
     Partition,
     StructuralError,
+    _fields_equal,
     as_vector,
     completion,
     meet,
@@ -47,7 +49,7 @@ class WeightedInnerProduct:
         if w.ndim != 1:
             raise StructuralError("measure must be a single weight row")
         self.measure = w
-        self.positive = w > 0
+        self.charged = np.flatnonzero(w > 0)
         self.n = w.shape[0]
 
     def inner(self, x, y) -> float:
@@ -58,21 +60,26 @@ class WeightedInnerProduct:
         return float(np.dot(self.measure, np.abs(as_vector(x, self.n))))
 
     def norm2_sq(self, x) -> float:
-        x = as_vector(x, self.n)
-        return float(np.dot(self.measure, x * x))
+        return self._norm2_sq(as_vector(x, self.n))
 
     def norm2(self, x) -> float:
         return float(np.sqrt(self.norm2_sq(x)))
 
     def norminf(self, x) -> float:
-        x = as_vector(x, self.n)
-        if not self.positive.any():
-            return 0.0
-        return float(np.max(np.abs(x[self.positive])))
+        return self._norminf(as_vector(x, self.n))
 
     def distinf(self, x, y) -> float:
         """Sup distance over positive-measure coordinates."""
         return self.norminf(np.asarray(x, dtype=float) - np.asarray(y, dtype=float))
+
+    # Unchecked kernels for float vectors already validated to length n.
+    def _norm2_sq(self, x: np.ndarray) -> float:
+        return float(np.dot(self.measure, x * x))
+
+    def _norminf(self, x: np.ndarray) -> float:
+        if not self.charged.size:
+            return 0.0
+        return float(np.max(np.abs(x[self.charged])))
 
 
 class CondExpOperator:
@@ -105,12 +112,15 @@ class CondExpOperator:
             self._normalized = np.where(mass_at > 0, w / mass_at, 0.0)
 
     def apply(self, x) -> np.ndarray:
-        x = as_vector(x, self.n)
+        return self._apply(as_vector(x, self.n))
+
+    __call__ = apply
+
+    def _apply(self, x: np.ndarray) -> np.ndarray:
+        """The block average of a float vector already validated for this operator."""
         means = np.bincount(self._block_of, weights=self._normalized * x,
                             minlength=self.partition.k)
         return means[self._block_of]
-
-    __call__ = apply
 
     def same_measure_as(self, other: "CondExpOperator") -> bool:
         return self.n == other.n and np.array_equal(self.measure, other.measure)
@@ -138,12 +148,14 @@ class OperatorProduct:
         self.ip = first.ip
 
     def apply(self, x) -> np.ndarray:
-        y = as_vector(x, self.n)
-        for op in self.factors:
-            y = op.apply(y)
-        return y
+        return self._apply(as_vector(x, self.n))
 
     __call__ = apply
+
+    def _apply(self, y: np.ndarray) -> np.ndarray:
+        for op in self.factors:
+            y = op._apply(y)
+        return y
 
     @property
     def is_palindromic(self) -> bool:
@@ -237,26 +249,30 @@ def verify_projection_properties(op: CondExpOperator, trials: int,
 
 @dataclass(frozen=True)
 class IterationReport:
-    """Trajectory and certification record of one alternating run.
+    """Per-iterate scalars and the certification record of one alternating run.
 
-    ``limit`` is not the final iterate: it is the independently computed
-    projection onto the intersection of the completed fields, and
-    ``residual`` is the weighted sup distance between the final iterate
-    and that target.  ``converged`` requires both the stopping rule and
-    residual <= tol, guarding against stopping on a premature plateau.
+    Entry k of ``norms2`` and ``residuals`` belongs to the iterate after
+    k + 1 applications: its squared weighted norm and its weighted sup
+    distance to ``limit``.  ``diffs2[k]`` is the squared weighted norm of
+    the step between iterates k + 1 and k + 2.  ``limit`` is not the final
+    iterate: it is the independently computed projection onto the
+    intersection of the completed fields, and ``residual`` is the sup
+    distance between ``final`` and it.  ``stop_reason`` says why the run
+    ended: ``"tolerance met"`` (``converged``), ``"schedule exhausted"``
+    or ``"iteration cap"``.
     """
 
-    trajectory: tuple[np.ndarray, ...]
+    final: np.ndarray
     norms2: np.ndarray
     diffs2: np.ndarray
+    residuals: np.ndarray
     limit: np.ndarray
     iterations_used: int
     converged: bool
     residual: float
+    stop_reason: str
 
-    @property
-    def final(self) -> np.ndarray:
-        return self.trajectory[-1]
+    __eq__ = _fields_equal
 
 
 def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
@@ -265,11 +281,13 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
 
     ``schedule`` is either ``"alternating"`` (cycle through ``ops``
     endlessly) or an explicit sequence of indices into ``ops``.  The run
-    stops once a successive difference is within ``tol`` in the weighted
-    sup norm and every operator moves the iterate by at most ``tol`` (a
-    small step under one operator alone proves nothing), when an explicit
-    schedule is exhausted, or after ``max_iter`` applications.
-    Non-convergence is reported, not raised.
+    stops on tolerance once the last step, the distance to the certified
+    limit and the move of every operator on the iterate are all within
+    ``tol`` in the weighted sup norm (a small step under one operator
+    alone proves nothing); otherwise when an explicit schedule is
+    exhausted, or after ``max_iter`` applications.  Non-convergence is
+    reported, not raised.  Only per-iterate scalars are kept, so memory
+    does not grow with the number of applications.
     """
     ops = list(ops)
     if not ops:
@@ -284,52 +302,53 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
             raise StructuralError("operators must share one weighting measure")
     x = as_vector(x, base.n)
 
-    if schedule == "alternating":
-        def order():
-            while True:
-                yield from range(len(ops))
-        indices = order()
+    if isinstance(schedule, str) and schedule == "alternating":
+        indices = itertools.cycle(range(len(ops)))
     else:
-        indices = iter(list(schedule))
+        indices = list(schedule)
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+                   and 0 <= i < len(ops) for i in indices):
+            raise StructuralError(
+                f"schedule entries must be indices into the {len(ops)} operators")
 
     ip = base.ip
-    target = direct_meet_operator(ops)
-    limit = target.apply(x)
+    limit = direct_meet_operator(ops)._apply(x)
 
-    def nearly_fixed(vec) -> bool:
-        return all(ip.distinf(op.apply(vec), vec) <= tol for op in ops)
-
-    trajectory: list[np.ndarray] = []
     norms2: list[float] = []
+    diffs2: list[float] = []
+    residuals: list[float] = []
     prev = x
-    stopped_on_tol = False
+    stop_reason = "schedule exhausted"
     for idx in indices:
-        cur = ops[idx].apply(prev)
-        trajectory.append(cur)
-        norms2.append(ip.norm2_sq(cur))
-        step = ip.distinf(cur, prev)
+        cur = ops[idx]._apply(prev)
+        d = cur - prev
+        if norms2:
+            diffs2.append(ip._norm2_sq(d))
+        norms2.append(ip._norm2_sq(cur))
+        residuals.append(ip._norminf(cur - limit))
         prev = cur
         # A small step alone is not enough: an operator that happens to fix
         # the current iterate (the identity, say) would freeze the run before
-        # the others act.  Stop only once every operator is done moving it.
-        if step <= tol and nearly_fixed(cur):
-            stopped_on_tol = True
+        # the others act.  Stop only once the iterate is certified and every
+        # operator is done moving it.
+        if (ip._norminf(d) <= tol and residuals[-1] <= tol
+                and all(ip._norminf(op._apply(cur) - cur) <= tol for op in ops)):
+            stop_reason = "tolerance met"
             break
-        if len(trajectory) >= max_iter:
+        if len(norms2) >= max_iter:
+            stop_reason = "iteration cap"
             break
 
-    final = trajectory[-1] if trajectory else x
-    diffs2 = np.array([ip.norm2_sq(trajectory[k + 1] - trajectory[k])
-                       for k in range(len(trajectory) - 1)])
-    residual = ip.distinf(final, limit)
     return IterationReport(
-        trajectory=tuple(trajectory),
+        final=prev,
         norms2=np.array(norms2),
-        diffs2=diffs2,
+        diffs2=np.array(diffs2),
+        residuals=np.array(residuals),
         limit=limit,
-        iterations_used=len(trajectory),
-        converged=stopped_on_tol and residual <= tol,
-        residual=residual,
+        iterations_used=len(norms2),
+        converged=stop_reason == "tolerance met",
+        residual=residuals[-1] if residuals else ip._norminf(x - limit),
+        stop_reason=stop_reason,
     )
 
 
@@ -374,11 +393,15 @@ def power_difference_ledger(t1: CondExpOperator, t2: CondExpOperator, x,
     product = sandwich_product(t1, t2)
     ip = product.ip
     x = as_vector(x, product.n)
-    powers = [x]
-    for _ in range(n_terms + 2):
-        powers.append(product.apply(powers[-1]))
-    terms = np.array([ip.norm2_sq(powers[k] - powers[k + 2])
-                      for k in range(1, n_terms + 1)])
+    # a window of three consecutive powers T^k x, T^(k+1) x, T^(k+2) x
+    a = product._apply(x)
+    b = product._apply(a)
+    first_norm2 = ip._norm2_sq(a)
+    terms = np.empty(n_terms)
+    for k in range(n_terms):
+        c = product._apply(b)
+        terms[k] = ip._norm2_sq(a - c)
+        a, b = b, c
     weights = np.arange(1, n_terms + 1, dtype=float)
     q = direct_meet_operator([t1, t2])
     return SumBoundReport(
@@ -386,7 +409,7 @@ def power_difference_ledger(t1: CondExpOperator, t2: CondExpOperator, x,
         partial_sum=float(terms.sum()),
         weighted_sum=float(np.dot(weights, terms)),
         bound=ip.norm2_sq(x),
-        weighted_target=ip.norm2_sq(powers[1]) - ip.norm2_sq(q.apply(x)),
+        weighted_target=first_norm2 - ip._norm2_sq(q._apply(x)),
     )
 
 

@@ -7,7 +7,7 @@ union become the lattice meet and join of partitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
 
@@ -29,6 +29,23 @@ def as_vector(values, n: int) -> np.ndarray:
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise StructuralError(f"vector entry {bad} is not finite")
     return x
+
+
+def _fields_equal(a, b) -> bool:
+    """Dataclass equality that compares array fields by value.
+
+    The generated ``__eq__`` compares fields with ``==``, which for an
+    ndarray field yields an array whose truth value is ambiguous.
+    """
+    if type(a) is not type(b):
+        return NotImplemented
+
+    def same(u, v) -> bool:
+        if isinstance(u, np.ndarray) or isinstance(v, np.ndarray):
+            return type(u) is type(v) and np.array_equal(u, v)
+        return u == v
+
+    return all(same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a) if f.compare)
 
 
 @dataclass(frozen=True)
@@ -105,6 +122,21 @@ class MeasureFamily:
         return cls(np.asarray(weights, dtype=float)[None, :])
 
 
+def _index_array(values, what: str) -> np.ndarray:
+    """Outcome indices as a 1-d numeric array, not yet range-checked or cast.
+
+    Integral numbers only: booleans, strings, fractions and inf are refused
+    rather than truncated.
+    """
+    v = values if isinstance(values, np.ndarray) else list(values)
+    a = np.asarray(v)
+    if (a.ndim != 1 or a.dtype.kind not in "iuf"
+            or not np.all(np.isfinite(a) & (a == np.round(a)))
+            or isinstance(v, list) and not {bool, np.bool_}.isdisjoint(map(type, v))):
+        raise StructuralError(f"{what} holds an outcome index that is not an integer")
+    return a
+
+
 def _canonical(labels: np.ndarray) -> tuple[np.ndarray, int]:
     """Non-negative labels renumbered 0, 1, ... by first appearance, and their count."""
     n = labels.size
@@ -134,14 +166,7 @@ class Partition:
     def __init__(self, blocks: Iterable[Iterable[int]]):
         parts = []
         for j, b in enumerate(blocks):
-            b = b if isinstance(b, np.ndarray) else list(b)
-            a = np.asarray(b)
-            # integral numbers only: booleans, strings, fractions and inf are
-            # refused rather than truncated
-            if (a.ndim != 1 or a.dtype.kind not in "iuf"
-                    or not np.all(np.isfinite(a) & (a == np.round(a)))
-                    or isinstance(b, list) and not {bool, np.bool_}.isdisjoint(map(type, b))):
-                raise StructuralError(f"block {j} holds an outcome index that is not an integer")
+            a = _index_array(b, f"block {j}")
             if not a.size:
                 raise StructuralError("blocks must be non-empty")
             parts.append(a)
@@ -254,9 +279,10 @@ def completion(p: Partition, nulls: Iterable[int]) -> Partition:
     Null outcomes are split into their own singleton blocks (never
     deleted, so vectors stay index-aligned); the rest keep their block.
     """
-    dead = np.fromiter(nulls, dtype=np.intp)
+    dead = _index_array(nulls, "the null set")
     if dead.size and (dead.min() < 0 or dead.max() >= p.n):
         raise StructuralError("null indices must lie in the partition's index range")
+    dead = dead.astype(np.intp)
     labels = p.block_of.copy()
     labels[dead] = p.k + dead
     return Partition._from_labels(labels)

@@ -26,6 +26,7 @@ from .space import (
     MeasureFamily,
     Partition,
     StructuralError,
+    _fields_equal,
     as_vector,
     completion,
     meet,
@@ -67,6 +68,8 @@ class SufficiencyCertificate:
     witness: Witness | None = None
     # the shared profiles as one outcome-indexed vector, 0 on uncharged blocks
     _profile: np.ndarray | None = field(default=None, repr=False)
+
+    __eq__ = _fields_equal
 
     @cached_property
     def block_conditionals(self) -> tuple[np.ndarray | None, ...] | None:
@@ -184,6 +187,8 @@ class SuiteReport:
     conclusion: Partition | None = None
     g: np.ndarray | None = None
     steps: tuple["SuiteReport", ...] = ()
+
+    __eq__ = _fields_equal
 
     def summary(self) -> str:
         status = ("hypothesis not met" if not self.hypothesis_met

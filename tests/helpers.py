@@ -9,9 +9,11 @@ against these.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
-from condexp import MeasureFamily, Partition
+from condexp import MeasureFamily, Partition, direct_meet_operator, sandwich_product
 
 
 # ---------------------------------------------------------------------------
@@ -281,3 +283,48 @@ def check_sufficient_for_f_by_blocks(family: MeasureFamily, p: Partition, f, ato
                     float(spread[worst])), None
         g[idx] = means[0]
     return None, g
+
+
+# ---------------------------------------------------------------------------
+# iterate and the ledger over kept vectors (the library streams them)
+
+def iterate_keeping_trajectory(ops, x, applications: int, schedule=None):
+    """The alternating loop that keeps every iterate: the streaming ``iterate``'s reference.
+
+    Runs exactly ``applications`` steps of ``schedule`` (cycling through
+    ``ops`` when None), keeps the whole trajectory, and only then derives
+    the per-iterate squared norms, squared steps and sup residuals against
+    the direct meet projection through the public norm methods.  Returns
+    (trajectory, norms2, diffs2, residuals, limit).
+    """
+    ip = ops[0].ip
+    limit = direct_meet_operator(ops).apply(x)
+    order = itertools.cycle(range(len(ops))) if schedule is None else schedule
+    trajectory = []
+    prev = x
+    for idx in itertools.islice(order, applications):
+        prev = ops[idx].apply(prev)
+        trajectory.append(prev)
+    norms2 = np.array([ip.norm2_sq(vec) for vec in trajectory])
+    diffs2 = np.array([ip.norm2_sq(trajectory[k + 1] - trajectory[k])
+                       for k in range(len(trajectory) - 1)])
+    residuals = np.array([ip.distinf(vec, limit) for vec in trajectory])
+    return trajectory, norms2, diffs2, residuals, limit
+
+
+def ledger_keeping_powers(t1, t2, x, n_terms: int):
+    """The power-difference ledger over a kept list of all n_terms + 3 powers.
+
+    Returns (terms, partial_sum, weighted_sum, bound, weighted_target).
+    """
+    product = sandwich_product(t1, t2)
+    ip = product.ip
+    powers = [np.asarray(x, dtype=float)]
+    for _ in range(n_terms + 2):
+        powers.append(product.apply(powers[-1]))
+    terms = np.array([ip.norm2_sq(powers[k] - powers[k + 2])
+                      for k in range(1, n_terms + 1)])
+    weights = np.arange(1, n_terms + 1, dtype=float)
+    q = direct_meet_operator([t1, t2])
+    return (terms, float(terms.sum()), float(np.dot(weights, terms)), ip.norm2_sq(x),
+            ip.norm2_sq(powers[1]) - ip.norm2_sq(q.apply(x)))

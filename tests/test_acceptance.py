@@ -92,7 +92,7 @@ def alternating_runs():
             oracle = matrix_power_limit(t1, t2) @ x
             worst_oracle = max(worst_oracle,
                                float(np.max(np.abs(oracle - run.limit))),
-                               float(np.max(np.abs(oracle - run.trajectory[-1]))))
+                               float(np.max(np.abs(oracle - run.final))))
             oracle_checked += 1
         instances.append((t1, t2, x, run))
     elapsed = time.perf_counter() - start

@@ -1,14 +1,19 @@
 """Exit codes, report formats, and determinism of the command line."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from condexp.cli import main
-from condexp import load_space_file
+from condexp import CondExpOperator, load_space_file
+from condexp.rng import portable_rng
+
+from helpers import iterate_keeping_trajectory
 
 SPACE = {
     "labels": ["a", "b", "c", "d"],
@@ -60,6 +65,38 @@ def test_iterate_converges_with_monotone_norms(space_file, tmp_path, capsys):
     assert all(b <= a + 1e-14 for a, b in zip(norms, norms[1:]))
     limit = [float(tok) for tok in lines[-1].split(":")[1].split()]
     assert np.allclose(limit, 2.5, atol=1e-12)
+
+
+def test_iterate_chain_csv_matches_the_kept_trajectory(tmp_path, capsys):
+    # two category partitions forming a chain: slow mixing, some null outcomes
+    rng = portable_rng(61)
+    n = 60
+    a = rng.integers(0, 8, n)
+    b = a + rng.integers(0, 2, n)
+    w = rng.uniform(0.5, 1.5, n)
+    w[[3, 17, 40]] = 0.0
+    w /= w.sum()
+    x = a / 8 + rng.uniform(-0.5, 0.5, n)
+    space = tmp_path / "chain.json"
+    space.write_text(json.dumps({
+        "labels": [f"s{i}" for i in range(n)], "measures": [w.tolist()],
+        "partitions": {name: [np.flatnonzero(lab == c).tolist() for c in np.unique(lab)]
+                       for name, lab in (("a", a), ("b", b))}}))
+    report = tmp_path / "run.csv"
+    code = main(["iterate", "--space", str(space), "--partitions", "a,b",
+                 "--x", ",".join(map(repr, x.tolist())), "--report", str(report)])
+    lines = report.read_text().splitlines()
+    bundle = load_space_file(str(space))
+    ops = [CondExpOperator(bundle.partition(name), w) for name in ("a", "b")]
+    _, norms2, diffs2, residuals, limit = iterate_keeping_trajectory(ops, x, len(lines) - 2)
+    assert code == 0
+    assert capsys.readouterr().out == (f"converged after {len(lines) - 2} applications; "
+                                       f"residual {float(residuals[-1])!r}\n")
+    assert residuals[-1] <= 1e-10
+    diffs = [repr(float(d)) for d in diffs2] + [""]
+    assert lines[1:-1] == [f"{k + 1},{float(norms2[k])!r},{diffs[k]},{float(residuals[k])!r}"
+                           for k in range(len(norms2))]
+    assert lines[-1] == "# limit: " + " ".join(repr(float(v)) for v in limit)
 
 
 def test_iterate_non_convergence_exit_code(space_file, capsys):
@@ -290,10 +327,12 @@ def test_determinism_byte_identical_reports(coin_file, tmp_path, capsys):
 
 
 def test_module_entry_point_runs():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "condexp", "counterexample", "refute",
          "--expr", "(c (a 2 1 -))"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert "witness point" in proc.stdout

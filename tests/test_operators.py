@@ -1,5 +1,7 @@
 """Projection operators, alternating iterates, and their certifications."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,8 +23,12 @@ from condexp import (
 from condexp.rng import portable_rng
 
 from helpers import (
+    iterate_keeping_trajectory,
+    ledger_keeping_powers,
     matrix_power_limit,
     operator_matrix,
+    partition_of_labels,
+    random_measure_with_nulls,
     random_partition,
     random_positive_measure,
 )
@@ -167,7 +173,7 @@ def test_iterate_crossing_pair_reaches_global_mean():
     t1 = CondExpOperator(P_ROWS, UNIFORM4)
     t2 = CondExpOperator(P_COLS, UNIFORM4)
     report = iterate([t1, t2], [1, 2, 3, 4])
-    assert report.converged
+    assert report.converged and report.stop_reason == "tolerance met"
     assert np.allclose(report.limit, 2.5, atol=1e-12)
     assert report.residual <= 1e-10
 
@@ -177,7 +183,7 @@ def test_iterate_repeated_operator_stops_fast():
     report = iterate([t1, t1], [1, 2, 3, 4])
     assert report.converged
     assert report.iterations_used == 2
-    assert np.array_equal(report.trajectory[-1], t1.apply([1, 2, 3, 4]))
+    assert np.array_equal(report.final, t1.apply([1, 2, 3, 4]))
 
 
 def test_iterate_detects_fixed_point_in_one_application():
@@ -187,7 +193,7 @@ def test_iterate_detects_fixed_point_in_one_application():
     report = iterate([t1, t2], x)
     assert report.converged
     assert report.iterations_used == 1
-    assert np.array_equal(report.trajectory[0], x)
+    assert np.array_equal(report.final, x)
 
 
 def test_iterate_rejects_mismatched_measures():
@@ -202,7 +208,7 @@ def test_iterate_custom_schedule_and_non_convergence_report():
     t2 = CondExpOperator(P_COLS, UNIFORM4)
     report = iterate([t1, t2], [1, 2, 3, 4], schedule=[0])
     assert not report.converged          # schedule exhausted before the meet
-    assert report.iterations_used == 1
+    assert report.iterations_used == 1 and report.stop_reason == "schedule exhausted"
     report = iterate([t1, t2], [1, 2, 3, 4], schedule=[0, 1, 0, 1])
     assert report.converged
 
@@ -216,7 +222,7 @@ def test_iterate_does_not_stall_when_first_operator_is_identity():
     x = np.array([1.0, -1.0])
     report = iterate([t1, t2], x)
     assert report.converged
-    assert np.allclose(report.trajectory[-1], float(np.dot(w, x)), atol=1e-12)
+    assert np.allclose(report.final, float(np.dot(w, x)), atol=1e-12)
 
 
 def test_iterate_validates_tol_and_max_iter():
@@ -241,7 +247,7 @@ def test_iterate_max_iter_reports_not_converged():
     t2 = CondExpOperator(P_COLS, UNIFORM4)
     report = iterate([t1, t2], [1, 2, 3, 4], max_iter=1)
     assert not report.converged
-    assert report.iterations_used == 1
+    assert report.iterations_used == 1 and report.stop_reason == "iteration cap"
 
 
 def test_iterate_telescoping_identity_and_monotone_norms():
@@ -281,7 +287,7 @@ def test_iterate_limit_matches_matrix_power_oracle():
         oracle = matrix_power_limit(t1, t2) @ x
         report = iterate([t1, t2], x, tol=1e-12, max_iter=50_000)
         assert np.max(np.abs(oracle - report.limit)) <= 1e-9
-        assert np.max(np.abs(oracle - report.trajectory[-1])) <= 1e-9
+        assert np.max(np.abs(oracle - report.final)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -419,3 +425,107 @@ def test_product_requires_shared_measure():
     t2 = CondExpOperator(P_COLS, [0.4, 0.1, 0.1, 0.4])
     with pytest.raises(StructuralError):
         sandwich_product(t1, t2)
+
+
+# ---------------------------------------------------------------------------
+# streaming iterate: the kept scalars against the loop that kept every iterate
+
+def test_iterate_scalars_match_the_kept_trajectory_bit_for_bit():
+    rng = portable_rng(19)
+    for trial in range(60):
+        n = int(rng.integers(2, 65))
+        w = random_measure_with_nulls(rng, n, int(rng.integers(0, n // 2 + 1)))
+        ops = [CondExpOperator(random_partition(rng, n), w)
+               for _ in range(int(rng.integers(1, 4)))]
+        x = rng.uniform(-1, 1, n)
+        schedule = ("alternating" if trial % 3 else
+                    rng.integers(0, len(ops), int(rng.integers(0, 40))).tolist())
+        report = iterate(ops, x, schedule=schedule, tol=float(10.0 ** -rng.integers(4, 13)),
+                         max_iter=int(rng.integers(1, 400)))
+        trajectory, norms2, diffs2, residuals, limit = iterate_keeping_trajectory(
+            ops, x, report.iterations_used, None if schedule == "alternating" else schedule)
+        assert len(trajectory) == report.iterations_used
+        assert np.array_equal(report.norms2, norms2)
+        assert np.array_equal(report.diffs2, diffs2)
+        assert np.array_equal(report.residuals, residuals)
+        assert np.array_equal(report.limit, limit)
+        assert np.array_equal(report.final, trajectory[-1] if trajectory else x)
+        if trajectory:
+            assert report.residual == residuals[-1]
+
+
+def test_iterate_memory_does_not_grow_with_applications():
+    # a chain of 2-blocks against the shifted chain: the meet is trivial but
+    # mixing takes ~n^2 applications, so the run hits the cap
+    n = 50_000
+    w = np.full(n, 1.0 / n)
+    ops = [CondExpOperator(partition_of_labels(np.arange(n) // 2), w),
+           CondExpOperator(partition_of_labels((np.arange(n) + 1) // 2), w)]
+    x = np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        report = iterate(ops, x, max_iter=320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations_used >= 300 and report.stop_reason == "iteration cap"
+    assert peak < 32 * n * 8      # keeping every iterate would take >= 300 * n * 8
+
+
+def test_iterate_stops_only_once_certified():
+    # a slowly contracting pair: here a step <= tol still leaves the
+    # iterate more than ten times tol from the limit
+    n = 40
+    w = np.full(n, 1.0 / n)
+    ops = [CondExpOperator(partition_of_labels(np.arange(n) // 2), w),
+           CondExpOperator(partition_of_labels((np.arange(n) + 1) // 2), w)]
+    x = np.linspace(-1.0, 1.0, n)
+    report = iterate(ops, x, tol=1e-10, max_iter=200_000)
+    assert report.converged and report.stop_reason == "tolerance met"
+    assert report.residual <= 1e-10 and report.residuals[-1] == report.residual
+    steps = np.sqrt(report.diffs2)
+    assert steps[-1] <= 1e-10
+
+
+def test_iterate_empty_schedule_reports_the_start_vector():
+    t1 = CondExpOperator(P_ROWS, UNIFORM4)
+    t2 = CondExpOperator(P_COLS, UNIFORM4)
+    x = [1, 2, 3, 4]
+    report = iterate([t1, t2], x, schedule=[])
+    assert report.stop_reason == "schedule exhausted" and report.iterations_used == 0
+    assert np.array_equal(report.final, x) and report.residual == 1.5
+    assert report.norms2.size == report.diffs2.size == report.residuals.size == 0
+
+
+def test_iterate_rejects_bad_schedules():
+    t1 = CondExpOperator(P_ROWS, UNIFORM4)
+    t2 = CondExpOperator(P_COLS, UNIFORM4)
+    for schedule in ([0, 2], [-1], [0.0], [True], "cyclic"):
+        with pytest.raises(StructuralError):
+            iterate([t1, t2], [1, 2, 3, 4], schedule=schedule)
+    assert iterate([t1, t2], [1, 2, 3, 4], schedule=np.array([0, 1, 0])).iterations_used == 3
+
+
+def test_iteration_reports_compare_by_value():
+    t1 = CondExpOperator(P_ROWS, UNIFORM4)
+    t2 = CondExpOperator(P_COLS, UNIFORM4)
+    a = iterate([t1, t2], [1, 2, 3, 4])
+    assert a == iterate([t1, t2], [1, 2, 3, 4])
+    assert a != iterate([t1, t2], [1, 2, 3, 5])
+    assert a != iterate([t1, t2], [1, 2, 3, 4], max_iter=1)
+
+
+def test_ledger_matches_the_kept_powers_bit_for_bit():
+    rng = portable_rng(20)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        w = random_measure_with_nulls(rng, n, int(rng.integers(0, n // 2 + 1)))
+        t1 = CondExpOperator(random_partition(rng, n), w)
+        t2 = CondExpOperator(random_partition(rng, n), w)
+        x = rng.uniform(-1, 1, n)
+        n_terms = int(rng.integers(1, 80))
+        report = power_difference_ledger(t1, t2, x, n_terms)
+        terms, partial, weighted, bound, target = ledger_keeping_powers(t1, t2, x, n_terms)
+        assert np.array_equal(report.terms, terms)
+        assert (report.partial_sum, report.weighted_sum, report.bound,
+                report.weighted_target) == (partial, weighted, bound, target)

@@ -1,15 +1,18 @@
 """Property tests: verdicts do not depend on the scale of f or on the
-order in which outcomes are numbered."""
+order in which outcomes are numbered, and an alternating run converges
+exactly when it stopped on a certified tolerance."""
 
 import numpy as np
 import pytest
 
 from condexp import (
+    CondExpOperator,
     MeasureFamily,
     Partition,
     check_sufficient,
     check_sufficient_for_f,
     intersection_sufficiency_suite,
+    iterate,
     join,
     meet,
 )
@@ -17,6 +20,7 @@ from condexp.rng import portable_rng
 
 from helpers import (
     dyadic_measure_rows,
+    random_measure_with_nulls,
     random_partition,
     random_refinement,
     shared_conditional_family,
@@ -98,3 +102,27 @@ def test_verdicts_invariant_under_relabelling(seed, sufficient, shuffle):
         assert np.allclose(moved.g, base.g[perm], rtol=1e-12, atol=1e-15)
     assert meet(p1_r, p2_r) == _relabel(fam, meet(p1, p2), f, perm)[1]
     assert join(p1_r, p2_r) == _relabel(fam, join(p1, p2), f, perm)[1]
+
+
+@PROPERTY
+@hypothesis.given(seed=seeds, tol_exp=st.integers(4, 14), max_iter=st.integers(1, 3000),
+                  explicit=st.booleans())
+def test_iterate_converged_means_stopped_on_a_certified_tolerance(seed, tol_exp, max_iter,
+                                                                 explicit):
+    rng = portable_rng(seed)
+    n = int(rng.integers(1, 25))
+    w = random_measure_with_nulls(rng, n, int(rng.integers(0, n)))
+    ops = [CondExpOperator(random_partition(rng, n), w) for _ in range(int(rng.integers(1, 4)))]
+    schedule = (rng.integers(0, len(ops), int(rng.integers(0, 60))).tolist() if explicit
+                else "alternating")
+    tol = 10.0 ** -tol_exp
+    report = iterate(ops, rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-3, 3),
+                     schedule=schedule, tol=tol, max_iter=max_iter)
+    assert report.converged == (report.stop_reason == "tolerance met")
+    if report.converged:
+        assert report.residual <= tol
+    elif report.stop_reason == "iteration cap":
+        assert report.iterations_used == max_iter
+    else:
+        assert report.stop_reason == "schedule exhausted" and explicit
+        assert report.iterations_used == len(schedule) < max_iter

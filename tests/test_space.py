@@ -322,6 +322,15 @@ def test_completion_rejects_out_of_range_nulls():
         completion(Partition.trivial(3), {-1})
 
 
+def test_completion_rejects_non_integer_nulls():
+    p = Partition([[0, 1], [2, 3]])
+    for nulls in ([1.5], [True], ["1"], [float("inf")], [[1]]):
+        with pytest.raises(StructuralError, match="not an integer"):
+            completion(p, nulls)
+    assert completion(p, [1.0]) == completion(p, {1}) == Partition([[0], [1], [2, 3]])
+    assert completion(p, np.array([2])) == Partition([[0, 1], [2], [3]])
+
+
 def test_refines_against_block_oracle():
     rng = portable_rng(44)
     for _ in range(40):

@@ -392,3 +392,32 @@ def test_intersection_suite_with_large_f():
         assert report.hypothesis_met and report.passed, report.summary()
         chain = decreasing_chain_suite(fam, [p1, meet(p1, p2)], f=f)
         assert chain.hypothesis_met and chain.passed, chain.summary()
+
+
+# ---------------------------------------------------------------------------
+# certificates and reports compare by value
+
+def test_positive_certificates_compare_by_value():
+    fam = bernoulli_pair()
+    f = [1.0, 2.0, 2.0, 5.0]
+    assert check_sufficient(fam, SUM_PARTITION) == check_sufficient(fam, SUM_PARTITION)
+    assert check_sufficient_for_f(fam, SUM_PARTITION, f) == check_sufficient_for_f(
+        fam, SUM_PARTITION, f)
+    assert check_sufficient_for_f(fam, SUM_PARTITION, f) != check_sufficient_for_f(
+        fam, SUM_PARTITION, [1.0, 2.0, 2.0, 6.0])
+    assert check_sufficient(fam, SUM_PARTITION) != check_sufficient(fam, FIRST_COORD)
+    assert check_sufficient(fam, SUM_PARTITION) != check_sufficient(
+        fam, Partition.singletons(4))
+
+
+def test_suite_reports_compare_by_value():
+    fam = bernoulli_pair()
+    report = intersection_sufficiency_suite(fam, SUM_PARTITION, Partition.singletons(4))
+    assert report.g is not None
+    assert report == intersection_sufficiency_suite(fam, SUM_PARTITION,
+                                                    Partition.singletons(4))
+    assert report != intersection_sufficiency_suite(fam, SUM_PARTITION, SUM_PARTITION,
+                                                    f=[0.0, 1.0, 1.0, 2.0])
+    chain = countable_intersection_suite(fam, [Partition.singletons(4), SUM_PARTITION])
+    assert chain.steps and chain == countable_intersection_suite(
+        fam, [Partition.singletons(4), SUM_PARTITION])
