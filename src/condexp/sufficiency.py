@@ -10,7 +10,14 @@ equivalence is exercised by the test suite, not assumed here.
 The suite runners replay the constructive argument behind the
 intersection theorems: alternating conditional expectations, computed
 once as a shared version and once per measure, must coincide wherever
-each measure can see.
+each measure can see.  Every check and every suite round runs on one
+table per (family, partition) pair: the block masses, computed once, and
+kernels that serve a test function, apply all m per-measure block
+averages to an m x n stack in one pass, and measure each measure's sup
+distance.  A suite builds its tables once, not once per round, and each
+per-measure row is what ``CondExpOperator`` would give, bit for bit.
+Every tolerance and the suites' stop threshold scale with max|f|, so no
+verdict changes when f is scaled.
 """
 
 from __future__ import annotations
@@ -21,7 +28,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import CondExpOperator, WeightedInnerProduct
 from .space import (
     MeasureFamily,
     Partition,
@@ -96,9 +102,102 @@ def _block_sums(p: Partition, rows: np.ndarray) -> np.ndarray:
     return np.stack([np.bincount(p.block_of, weights=r, minlength=p.k) for r in rows])
 
 
-def _f_scale(family: MeasureFamily, v: np.ndarray) -> float:
-    """Largest |f| over the outcomes some measure charges."""
-    return float(np.max(np.abs(v), where=family.weights.any(axis=0), initial=0.0))
+class _BlockTable:
+    """The family's block masses on one partition, and the kernels built on them.
+
+    ``mass`` is the m x k table of block masses, ``charged`` says where it
+    is positive and ``ref`` names the first measure charging each block (0
+    where none does).  The per-measure normalized weights, the stacked
+    block labels and the outcome masks are built on first use, so a
+    one-shot check pays for the masses only.  Vectors handed to the
+    methods are already validated float arrays of length n.
+    """
+
+    def __init__(self, family: MeasureFamily, p: Partition):
+        _check_sizes(family, p)
+        self.family, self.p = family, p
+        self.mass = _block_sums(p, family.weights)
+        self.charged = self.mass > 0
+        self.ref = np.argmax(self.charged, axis=0)
+
+    @cached_property
+    def _normalized(self) -> np.ndarray:
+        # each measure's weights divided by its block mass, 0 on blocks it
+        # does not charge: the same numbers CondExpOperator uses
+        mass_at = self.mass[:, self.p.block_of]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(mass_at > 0, self.family.weights / mass_at, 0.0)
+
+    @cached_property
+    def _stacked_labels(self) -> np.ndarray:
+        # block b under measure gamma is bin gamma * k + b
+        p = self.p
+        return (p.block_of + p.k * np.arange(self.family.m)[:, None]).ravel()
+
+    @cached_property
+    def _seen(self) -> np.ndarray:
+        return self.family.weights > 0
+
+    @cached_property
+    def _seen_by_any(self) -> np.ndarray:
+        return self.family.weights.any(axis=0)
+
+    def f_scale(self, v: np.ndarray) -> float:
+        """Largest |v| over the outcomes some measure charges."""
+        return float(np.max(np.abs(v), where=self._seen_by_any, initial=0.0))
+
+    def certify(self, atol: float) -> SufficiencyCertificate:
+        """The distributional criterion (the body of ``check_sufficient``)."""
+        w, lab, p = self.family.weights, self.p.block_of, self.p
+        charged, ref = self.charged, self.ref
+        with np.errstate(invalid="ignore", divide="ignore"):
+            cond = w / self.mass[:, lab]
+        profile = cond[ref[lab], np.arange(p.n)]
+        dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
+        gammas, outcomes = np.nonzero(dev > atol)
+        if gammas.size:
+            first = np.argmin(lab[outcomes] * self.family.m + gammas)
+            b, gamma = int(lab[outcomes[first]]), int(gammas[first])
+            idx = np.flatnonzero(lab == b)
+            worst = int(idx[np.argmax(dev[gamma, idx])])
+            witness = Witness(int(ref[b]), gamma, b, f"indicator of outcome {worst} conditioned "
+                              f"on block {b} {tuple(idx.tolist())}", float(dev[gamma, worst]))
+            return SufficiencyCertificate(False, p, witness=witness)
+        profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
+        return SufficiencyCertificate(True, p, _profile=profile)
+
+    def serve(self, v: np.ndarray, atol: float) -> SufficiencyCertificate:
+        """One block function for ``v`` under every measure (the body of
+        ``check_sufficient_for_f``), within ``atol`` times max|v| over charged outcomes."""
+        p, charged, ref = self.p, self.charged, self.ref
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means = _block_sums(p, self.family.weights * v) / self.mass
+        shared = means[ref, np.arange(p.k)]
+        spread = np.where(charged, np.abs(means - shared), 0.0)
+        bad = np.flatnonzero(np.any(spread > atol * self.f_scale(v), axis=0))
+        if bad.size:
+            b = int(bad[0])
+            worst = int(np.argmax(spread[:, b]))
+            block = tuple(np.flatnonzero(p.block_of == b).tolist())
+            witness = Witness(int(ref[b]), worst, b, f"conditional means of f on block {b} "
+                              f"{block}", float(spread[worst, b]))
+            return SufficiencyCertificate(False, p, witness=witness)
+        g = np.where(charged.any(axis=0), shared, 0.0)[p.block_of]
+        return SufficiencyCertificate(True, p, g=g)
+
+    def apply_each(self, X: np.ndarray) -> np.ndarray:
+        """Row gamma of the result is measure gamma's block average of row
+        gamma of the m x n stack ``X``: every CondExpOperator of the family on
+        this partition, applied in one pass and bit for bit."""
+        m, k = self.family.m, self.p.k
+        sums = np.bincount(self._stacked_labels, weights=(self._normalized * X).ravel(),
+                           minlength=m * k)
+        return sums.reshape(m, k)[:, self.p.block_of]
+
+    def distinf_each(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per measure, the sup of |X - y| over the outcomes it charges (row
+        gamma of ``X`` if it is a stack, ``X`` itself if it is one vector)."""
+        return np.where(self._seen, np.abs(X - y), 0.0).max(axis=1)
 
 
 def check_sufficient(family: MeasureFamily, p: Partition,
@@ -112,26 +211,7 @@ def check_sufficient(family: MeasureFamily, p: Partition,
     the block.  The decision is total: the result is always a certificate,
     never an exception.
     """
-    _check_sizes(family, p)
-    w, lab = family.weights, p.block_of
-    mass = _block_sums(p, w)
-    charged = mass > 0
-    ref = np.argmax(charged, axis=0)            # first measure charging each block
-    with np.errstate(invalid="ignore", divide="ignore"):
-        cond = w / mass[:, lab]
-    profile = cond[ref[lab], np.arange(p.n)]
-    dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
-    gammas, outcomes = np.nonzero(dev > atol)
-    if gammas.size:
-        first = np.argmin(lab[outcomes] * family.m + gammas)
-        b, gamma = int(lab[outcomes[first]]), int(gammas[first])
-        idx = np.flatnonzero(lab == b)
-        worst = int(idx[np.argmax(dev[gamma, idx])])
-        witness = Witness(int(ref[b]), gamma, b, f"indicator of outcome {worst} conditioned "
-                          f"on block {b} {tuple(idx.tolist())}", float(dev[gamma, worst]))
-        return SufficiencyCertificate(False, p, witness=witness)
-    profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
-    return SufficiencyCertificate(True, p, _profile=profile)
+    return _BlockTable(family, p).certify(atol)
 
 
 def check_sufficient_for_f(family: MeasureFamily, p: Partition, f,
@@ -144,26 +224,7 @@ def check_sufficient_for_f(family: MeasureFamily, p: Partition, f,
     does not change when f is scaled).  Blocks charged by no measure get
     the value 0.
     """
-    _check_sizes(family, p)
-    v = as_vector(f, p.n)
-    w = family.weights
-    mass = _block_sums(p, w)
-    charged = mass > 0
-    ref = np.argmax(charged, axis=0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        means = _block_sums(p, w * v) / mass
-    shared = means[ref, np.arange(p.k)]
-    spread = np.where(charged, np.abs(means - shared), 0.0)
-    bad = np.flatnonzero(np.any(spread > atol * _f_scale(family, v), axis=0))
-    if bad.size:
-        b = int(bad[0])
-        worst = int(np.argmax(spread[:, b]))
-        block = tuple(np.flatnonzero(p.block_of == b).tolist())
-        witness = Witness(int(ref[b]), worst, b, f"conditional means of f on block {b} {block}",
-                          float(spread[worst, b]))
-        return SufficiencyCertificate(False, p, witness=witness)
-    g = np.where(charged.any(axis=0), shared, 0.0)[p.block_of]
-    return SufficiencyCertificate(True, p, g=g)
+    return _BlockTable(family, p).serve(as_vector(f, p.n), atol)
 
 
 def contains_null_field(p: Partition, nulls: frozenset[int]) -> bool:
@@ -206,26 +267,6 @@ def _default_f(n: int) -> np.ndarray:
     return np.arange(1.0, n + 1.0)
 
 
-def _shared_conditional(family: MeasureFamily, p: Partition, f) -> np.ndarray | None:
-    cert = check_sufficient_for_f(family, p, f)
-    return cert.g if cert.sufficient else None
-
-
-def _per_gamma_divergence(family: MeasureFamily, p: Partition, prev_by_gamma,
-                          shared: np.ndarray) -> tuple[float, list[np.ndarray]]:
-    """Advance each measure's own trajectory one step and compare with the
-    shared version where that measure has positive weight."""
-    worst = 0.0
-    nxt = []
-    for gamma in range(family.m):
-        op = CondExpOperator(p, family.row(gamma))
-        vec = op.apply(prev_by_gamma[gamma])
-        nxt.append(vec)
-        ip = WeightedInnerProduct(family.row(gamma))
-        worst = max(worst, ip.distinf(vec, shared))
-    return worst, nxt
-
-
 def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
                                    p2: Partition, f=None,
                                    max_rounds: int = 10_000) -> SuiteReport:
@@ -236,13 +277,13 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     The suite then checks that the lattice meet is sufficient and replays
     the constructive proof: alternating shared conditional expectations
     converge, stay in step with every per-measure trajectory, and land on
-    the meet's own conditional mean.
+    the meet's own conditional mean.  The replay stops once a round moves
+    the shared version by at most 1e-14 times max|f|.
     """
-    _check_sizes(family, p1)
-    _check_sizes(family, p2)
     name = "intersection sufficiency"
-    for label, p in (("p1", p1), ("p2", p2)):
-        cert = check_sufficient(family, p)
+    tables = (_BlockTable(family, p1), _BlockTable(family, p2))
+    for label, table in zip(("p1", "p2"), tables):
+        cert = table.certify(AGREEMENT_ATOL)
         if not cert.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition": f"{label} is not sufficient",
@@ -257,38 +298,38 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
         })
 
     ground = meet(p1, p2)
-    meet_cert = check_sufficient(family, ground)
+    at_meet = _BlockTable(family, ground)
+    meet_cert = at_meet.certify(AGREEMENT_ATOL)
 
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
     shared = v
-    per_gamma = [v] * family.m
+    # row gamma: the trajectory of measure gamma's own conditional expectations
+    per_gamma = np.broadcast_to(v, (family.m, family.n))
     divergence = 0.0
     rounds = 0
-    ips = [WeightedInnerProduct(family.row(g)) for g in range(family.m)]
-    settle = 1e-14 * max(1.0, float(np.max(np.abs(v))))
-    tol = TRAJECTORY_TOL * _f_scale(family, v)
+    settle = 1e-14 * float(np.max(np.abs(v), initial=0.0))
+    tol = TRAJECTORY_TOL * at_meet.f_scale(v)
     for rounds in range(1, max_rounds + 1):
-        p = p1 if rounds % 2 == 1 else p2
-        nxt = _shared_conditional(family, p, shared)
-        if nxt is None:
+        table = tables[(rounds - 1) % 2]
+        served = table.serve(shared, AGREEMENT_ATOL)
+        if not served.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition":
                     f"trajectories split at round {rounds}: sufficiency violated",
             })
-        worst, per_gamma = _per_gamma_divergence(family, p, per_gamma, nxt)
-        divergence = max(divergence, worst)
-        step = max(ip.distinf(nxt, shared) for ip in ips)
+        nxt = served.g
+        per_gamma = table.apply_each(per_gamma)
+        divergence = max(divergence, float(table.distinf_each(per_gamma, nxt).max()))
+        step = float(table.distinf_each(nxt, shared).max())
         shared = nxt
         if rounds >= 2 and step <= settle:
             break
 
-    direct = check_sufficient_for_f(family, ground, v)
-    limit_gap = (max(ip.distinf(shared, direct.g) for ip in ips)
+    direct = at_meet.serve(v, AGREEMENT_ATOL)
+    limit_gap = (float(at_meet.distinf_each(shared, direct.g).max())
                  if direct.sufficient else float("inf"))
-    measurable = all(
-        ip.distinf(shared, CondExpOperator(ground, family.row(g)).apply(shared)) <= tol
-        for g, ip in enumerate(ips)
-    )
+    projected = at_meet.apply_each(np.broadcast_to(shared, per_gamma.shape))
+    measurable = bool(np.all(at_meet.distinf_each(projected, shared) <= tol))
     passed = (meet_cert.sufficient and divergence <= tol
               and limit_gap <= tol and measurable)
     return SuiteReport(
@@ -319,8 +360,7 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
     chain = list(chain)
     if not chain:
         raise StructuralError("chain must be non-empty")
-    for p in chain:
-        _check_sizes(family, p)
+    tables = [_BlockTable(family, p) for p in chain]
     for k in range(len(chain) - 1):
         if not chain[k + 1].refines(chain[k]) and not chain[k].refines(chain[k + 1]):
             raise StructuralError(
@@ -331,8 +371,8 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
                 f"chain is not decreasing between elements {k} and {k + 1}"
             )
     name = "decreasing chain sufficiency"
-    for k, p in enumerate(chain):
-        cert = check_sufficient(family, p)
+    for k, table in enumerate(tables):
+        cert = table.certify(AGREEMENT_ATOL)
         if not cert.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition": f"chain element {k} is not sufficient",
@@ -340,22 +380,19 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
                 "witness": cert.witness.description,
             })
 
+    # every element, the stable one included, is certified sufficient above
     stable = chain[-1]
     stable_from = next(k for k, p in enumerate(chain) if p == stable)
     folded = chain[0]
     for p in chain[1:]:
         folded = meet(folded, p)
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
-    trajectory = [check_sufficient_for_f(family, p, v).g for p in chain]
-    ips = [WeightedInnerProduct(family.row(g)) for g in range(family.m)]
-    tail_gap = max(
-        (ip.distinf(trajectory[k], trajectory[-1])
-         for k in range(stable_from, len(chain)) for ip in ips),
-        default=0.0,
-    )
-    stable_cert = check_sufficient(family, stable)
-    passed = (stable_cert.sufficient and folded == stable
-              and tail_gap <= TRAJECTORY_TOL * _f_scale(family, v))
+    # only the tail from stable_from on enters the gap
+    tail = [table.serve(v, AGREEMENT_ATOL).g for table in tables[stable_from:]]
+    last = tables[-1]
+    tail_gap = (max(float(last.distinf_each(g, tail[-1]).max()) for g in tail)
+                if tail[-1] is not None else float("inf"))
+    passed = folded == stable and tail_gap <= TRAJECTORY_TOL * last.f_scale(v)
     return SuiteReport(
         name,
         hypothesis_met=True,
@@ -363,11 +400,11 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
         details={
             "stabilizes_at": stable_from,
             "stable_equals_meet": folded == stable,
-            "stable_sufficient": stable_cert.sufficient,
+            "stable_sufficient": True,
             "trajectory_tail_gap": tail_gap,
         },
         conclusion=stable,
-        g=trajectory[-1],
+        g=tail[-1],
     )
 
 
@@ -402,15 +439,16 @@ def countable_intersection_suite(family: MeasureFamily,
                                details={"failed_at_step": len(steps) - 1},
                                steps=tuple(steps))
         running = step.conclusion
-    final_cert = check_sufficient(family, running)
-    passed = final_cert.sufficient and all(s.passed for s in steps)
+    # the last step certified its meet, the final one; with no step it is parts[0]
+    final_sufficient = steps[-1].details["meet_sufficient"] if steps else True
+    passed = final_sufficient and all(s.passed for s in steps)
     g = steps[-1].g if steps else check_sufficient_for_f(family, running, v).g
     return SuiteReport(
         name,
         hypothesis_met=True,
         passed=passed,
         details={
-            "final_meet_sufficient": final_cert.sufficient,
+            "final_meet_sufficient": final_sufficient,
             "pairwise_steps": len(steps),
         },
         conclusion=running,

@@ -3,8 +3,8 @@
 Everything here deliberately avoids the library's own fast paths: meets
 via transitive closure, joins via set intersections, operators as explicit
 matrices built from basis vectors, sufficiency by exhaustive indicator
-checking or by plain loops over blocks.  Tests compare the library
-against these.
+checking or by plain loops over blocks, the theorem suites with their
+operators rebuilt every round.  Tests compare the library against these.
 """
 
 from __future__ import annotations
@@ -13,7 +13,21 @@ import itertools
 
 import numpy as np
 
-from condexp import MeasureFamily, Partition, direct_meet_operator, sandwich_product
+from condexp import (
+    CondExpOperator,
+    MeasureFamily,
+    Partition,
+    SuiteReport,
+    WeightedInnerProduct,
+    check_sufficient,
+    check_sufficient_for_f,
+    contains_null_field,
+    direct_meet_operator,
+    meet,
+    null_set,
+    sandwich_product,
+)
+from condexp.sufficiency import TRAJECTORY_TOL
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +101,25 @@ def shared_conditional_family(rng, n: int, m: int, k: int):
             weights[gamma, list(block)] = block_mass[j] * conditionals[j]
         weights[gamma] /= weights[gamma].sum()
     return MeasureFamily(weights), base
+
+
+def shared_family_with_gaps(rng, n: int, m: int, k: int):
+    """Like ``shared_conditional_family``, with gaps: about a fifth of the
+    outcomes are null under every measure and about a quarter of the
+    (measure, base block) pairs have zero mass.  Returns (family, base_partition)."""
+    base = random_partition(rng, n, max_blocks=k)
+    lab = base.block_of
+    while True:
+        q = rng.uniform(0.1, 1.0, n)
+        q[rng.random(n) < 0.2] = 0.0
+        block_mass = rng.uniform(0.1, 1.0, (m, base.k))
+        block_mass[rng.random((m, base.k)) < 0.25] = 0.0
+        total = np.bincount(lab, weights=q, minlength=base.k)[lab]
+        cond = np.divide(q, total, out=np.zeros(n), where=total > 0)
+        weights = block_mass[:, lab] * cond
+        sums = weights.sum(axis=1, keepdims=True)
+        if np.all(sums > 0):
+            return MeasureFamily(weights / sums), base
 
 
 def random_refinement(rng, p: Partition) -> Partition:
@@ -328,3 +361,98 @@ def ledger_keeping_powers(t1, t2, x, n_terms: int):
     q = direct_meet_operator([t1, t2])
     return (terms, float(terms.sum()), float(np.dot(weights, terms)), ip.norm2_sq(x),
             ip.norm2_sq(powers[1]) - ip.norm2_sq(q.apply(x)))
+
+
+# ---------------------------------------------------------------------------
+# the theorem suites with operators rebuilt every round (the library runs
+# them on block tables built once per suite)
+
+def intersection_suite_rebuilding_operators(family: MeasureFamily, p1: Partition,
+                                            p2: Partition, f=None,
+                                            max_rounds: int = 10_000) -> SuiteReport:
+    """The pairwise intersection suite as a plain loop: every round re-runs
+    ``check_sufficient_for_f`` for the shared version and builds one
+    ``CondExpOperator`` and one ``WeightedInnerProduct`` per measure."""
+    name = "intersection sufficiency"
+    for label, p in (("p1", p1), ("p2", p2)):
+        cert = check_sufficient(family, p)
+        if not cert.sufficient:
+            return SuiteReport(name, hypothesis_met=False, passed=False, details={
+                "failed_precondition": f"{label} is not sufficient",
+                "witness": cert.witness.description,
+            })
+    nulls = null_set(family)
+    if not (contains_null_field(p1, nulls) or contains_null_field(p2, nulls)):
+        return SuiteReport(name, hypothesis_met=False, passed=False, details={
+            "failed_precondition": "neither partition contains the family's null field",
+            "null_indices": sorted(nulls),
+        })
+    ground = meet(p1, p2)
+    meet_cert = check_sufficient(family, ground)
+    v = np.arange(1.0, family.n + 1.0) if f is None else np.asarray(f, dtype=float)
+    ips = [WeightedInnerProduct(family.row(g)) for g in range(family.m)]
+    charged = family.weights.any(axis=0)
+    tol = TRAJECTORY_TOL * float(np.max(np.abs(v), where=charged, initial=0.0))
+    settle = 1e-14 * float(np.max(np.abs(v), initial=0.0))
+    shared, per_gamma, divergence, rounds = v, [v] * family.m, 0.0, 0
+    for rounds in range(1, max_rounds + 1):
+        p = p1 if rounds % 2 == 1 else p2
+        cert = check_sufficient_for_f(family, p, shared)
+        if not cert.sufficient:
+            return SuiteReport(name, hypothesis_met=False, passed=False, details={
+                "failed_precondition":
+                    f"trajectories split at round {rounds}: sufficiency violated",
+            })
+        nxt = cert.g
+        for gamma in range(family.m):
+            per_gamma[gamma] = CondExpOperator(p, family.row(gamma)).apply(per_gamma[gamma])
+            divergence = max(divergence, ips[gamma].distinf(per_gamma[gamma], nxt))
+        step = max(ip.distinf(nxt, shared) for ip in ips)
+        shared = nxt
+        if rounds >= 2 and step <= settle:
+            break
+    direct = check_sufficient_for_f(family, ground, v)
+    limit_gap = (max(ip.distinf(shared, direct.g) for ip in ips)
+                 if direct.sufficient else float("inf"))
+    measurable = all(
+        ip.distinf(shared, CondExpOperator(ground, family.row(g)).apply(shared)) <= tol
+        for g, ip in enumerate(ips))
+    return SuiteReport(
+        name, hypothesis_met=True,
+        passed=meet_cert.sufficient and divergence <= tol and limit_gap <= tol and measurable,
+        details={"meet_sufficient": meet_cert.sufficient, "trajectory_divergence": divergence,
+                 "limit_gap": limit_gap, "limit_meet_measurable": measurable,
+                 "rounds": rounds},
+        conclusion=ground, g=shared)
+
+
+def countable_suite_rebuilding_operators(family: MeasureFamily, parts, f=None,
+                                         max_rounds: int = 10_000) -> SuiteReport:
+    """The countable fold over ``intersection_suite_rebuilding_operators``,
+    re-checking the final running meet."""
+    name = "countable intersection sufficiency"
+    first = check_sufficient(family, parts[0])
+    if not first.sufficient:
+        return SuiteReport(name, hypothesis_met=False, passed=False, details={
+            "failed_precondition": "partition 0 is not sufficient",
+            "witness": first.witness.description,
+        })
+    v = np.arange(1.0, family.n + 1.0) if f is None else np.asarray(f, dtype=float)
+    running, steps = parts[0], []
+    for p in parts[1:]:
+        step = intersection_suite_rebuilding_operators(family, running, p, f=v,
+                                                       max_rounds=max_rounds)
+        steps.append(step)
+        if not step.hypothesis_met:
+            return SuiteReport(name, hypothesis_met=False, passed=False,
+                               details={"failed_at_step": len(steps) - 1},
+                               steps=tuple(steps))
+        running = step.conclusion
+    final_cert = check_sufficient(family, running)
+    g = steps[-1].g if steps else check_sufficient_for_f(family, running, v).g
+    return SuiteReport(
+        name, hypothesis_met=True,
+        passed=final_cert.sufficient and all(s.passed for s in steps),
+        details={"final_meet_sufficient": final_cert.sufficient,
+                 "pairwise_steps": len(steps)},
+        conclusion=running, g=g, steps=tuple(steps))

@@ -209,6 +209,7 @@ def _limit_matches_direct(fam, ground, g, tol=1e-9) -> float:
 
 def test_criterion_7_intersection_theorems():
     rng = portable_rng(1007)
+    start = time.perf_counter()
     failures = 0
     worst_gap = 0.0
     for k in range(200):
@@ -237,9 +238,11 @@ def test_criterion_7_intersection_theorems():
             continue
         assert report.conclusion == ground
         worst_gap = max(worst_gap, _limit_matches_direct(fam, ground, report.g))
-    ok = failures == 0 and worst_gap <= 1e-9
+    elapsed = time.perf_counter() - start
+    ok = failures == 0 and worst_gap <= 1e-9 and elapsed <= 10.0
     report_line(7, "intersection theorems", ok,
-                f"{failures} suite failures, worst limit gap {worst_gap:.3e}")
+                f"{failures} suite failures, worst limit gap {worst_gap:.3e}, "
+                f"{elapsed:.2f}s over 200 suites")
 
 
 # ---------------------------------------------------------------------------

@@ -220,6 +220,21 @@ def test_sufficiency_suite_hypothesis_not_met(coin_file, capsys):
     assert "hypothesis not met" in capsys.readouterr().out
 
 
+def test_sufficiency_suite_reports_split_trajectories(tmp_path, capsys):
+    # profiles within tolerance, conditional means of f apart by 3.6e-10
+    eps = 0.9e-10
+    path = tmp_path / "split.json"
+    path.write_text(json.dumps({
+        "labels": ["a", "b", "c", "d"],
+        "measures": [[0.25] * 4, [0.25 + eps, 0.25 - eps] * 2],
+        "partitions": {"all": [[0, 1, 2, 3]]},
+    }))
+    code = main(["sufficiency", "--space", str(path), "--suite", "intersection",
+                 "--partitions", "all,all", "--f", "1,-1,1,-1"])
+    assert code == 3
+    assert "trajectories split at round 1" in capsys.readouterr().out
+
+
 def test_sufficiency_suite_chain_and_countable(coin_file, capsys):
     code = main(["sufficiency", "--space", coin_file, "--suite", "chain",
                  "--partitions", "points,sum"])

@@ -11,6 +11,7 @@ from condexp import (
     Partition,
     check_sufficient,
     check_sufficient_for_f,
+    countable_intersection_suite,
     intersection_sufficiency_suite,
     iterate,
     join,
@@ -79,13 +80,18 @@ def test_per_f_verdict_invariant_under_scaling(seed, sufficient, c):
 
 
 @hypothesis.settings(PROPERTY, max_examples=25)
-@hypothesis.given(seed=seeds, c=scales)
+@hypothesis.given(seed=seeds, c=st.floats(-15.0, 6.0).map(lambda e: 10.0 ** e))
 def test_intersection_suite_invariant_under_scaling(seed, c):
+    # down to 1e-15, where a stop threshold with an absolute floor ended
+    # the replay before it converged
     fam, p1, p2, f = _instance(seed, sufficient=True)
-    base = intersection_sufficiency_suite(fam, p1, p2, f=f)
-    scaled = intersection_sufficiency_suite(fam, p1, p2, f=c * f)
-    assert base.hypothesis_met and base.passed, base.summary()
-    assert (scaled.hypothesis_met, scaled.passed) == (True, True), scaled.summary()
+    p3 = meet(p1, p2) if seed % 2 else p1
+    for suite, args in ((intersection_sufficiency_suite, (p1, p2)),
+                        (countable_intersection_suite, ([p1, p2, p3],))):
+        base = suite(fam, *args, f=f)
+        scaled = suite(fam, *args, f=c * f)
+        assert base.hypothesis_met and base.passed, base.summary()
+        assert (scaled.hypothesis_met, scaled.passed) == (True, True), scaled.summary()
 
 
 @PROPERTY

@@ -10,6 +10,7 @@ from condexp import (
     StructuralError,
     check_sufficient,
     check_sufficient_for_f,
+    completion,
     contains_null_field,
     countable_intersection_suite,
     decreasing_chain_suite,
@@ -24,10 +25,13 @@ from helpers import (
     check_sufficient_by_blocks,
     check_sufficient_for_f_by_blocks,
     coarsen_within,
+    countable_suite_rebuilding_operators,
     dyadic_measure_rows,
+    intersection_suite_rebuilding_operators,
     random_partition,
     random_refinement,
     shared_conditional_family,
+    shared_family_with_gaps,
     sufficient_bruteforce,
 )
 
@@ -421,3 +425,61 @@ def test_suite_reports_compare_by_value():
     chain = countable_intersection_suite(fam, [Partition.singletons(4), SUM_PARTITION])
     assert chain.steps and chain == countable_intersection_suite(
         fam, [Partition.singletons(4), SUM_PARTITION])
+
+
+# ---------------------------------------------------------------------------
+# the suites on block tables against the loop that rebuilds operators each round
+
+def test_suites_equal_the_operator_rebuilding_loop():
+    rng = portable_rng(44)
+    seen = set()
+    for case in range(100):
+        n, m = int(rng.integers(2, 13)), 1 + case % 4
+        fam, base = shared_family_with_gaps(rng, n, m, k=max(1, n // 3))
+        nulls = null_set(fam)
+        parts = [random_refinement(rng, base) for _ in range(2 + case % 3)]
+        if case % 3:
+            parts[0] = completion(parts[0], nulls)
+        if case % 7 == 0:
+            parts[1] = random_partition(rng, n)
+        f = None if case % 2 else rng.uniform(-1, 1, n) * 10.0 ** rng.uniform(-3, 6)
+        mine = intersection_sufficiency_suite(fam, parts[0], parts[1], f=f)
+        assert mine == intersection_suite_rebuilding_operators(fam, parts[0], parts[1], f=f)
+        folded = countable_intersection_suite(fam, parts, f=f)
+        assert folded == countable_suite_rebuilding_operators(fam, parts, f=f)
+        # a measure with zero mass on a block another measure charges
+        mass = np.stack([np.bincount(parts[1].block_of, weights=r) for r in fam.weights])
+        gap = bool(np.any((mass == 0) & (mass > 0).any(axis=0)))
+        seen.add((m, bool(nulls), gap, mine.hypothesis_met and mine.passed,
+                  folded.hypothesis_met and folded.passed))
+    assert {m for m, nulls, _, *passed in seen if nulls and all(passed)} == {1, 2, 3, 4}
+    assert any(gap and all(passed) for _, _, gap, *passed in seen)
+    assert any(not any(passed) for _, _, _, *passed in seen)
+
+
+def split_pair():
+    """Two measures whose profiles on the trivial partition differ by
+    0.9e-10 per outcome, inside the criterion's tolerance, while their
+    conditional means of ALTERNATING differ by 3.6e-10."""
+    eps = 0.9e-10
+    return MeasureFamily([[0.25] * 4, [0.25 + eps, 0.25 - eps] * 2])
+
+
+ALTERNATING = [1.0, -1.0, 1.0, -1.0]
+
+
+def test_split_trajectories_are_reported_at_their_round():
+    fam, trivial = split_pair(), Partition.trivial(4)
+    assert check_sufficient(fam, trivial).sufficient
+    report = intersection_sufficiency_suite(fam, trivial, trivial, f=ALTERNATING)
+    assert not report.hypothesis_met
+    assert report.details == {"failed_precondition":
+                              "trajectories split at round 1: sufficiency violated"}
+
+
+def test_chain_whose_stable_element_cannot_serve_f_fails():
+    fam = split_pair()
+    report = decreasing_chain_suite(fam, [Partition.singletons(4), Partition.trivial(4)],
+                                    f=ALTERNATING)
+    assert report.hypothesis_met and not report.passed
+    assert report.details["trajectory_tail_gap"] == float("inf") and report.g is None
