@@ -5,7 +5,13 @@ of a partition under a fixed weighting measure.  On the weighted L2 space
 it is a self-adjoint idempotent contraction, and products of two such
 operators drive the alternating iteration whose limit is the conditional
 expectation given the intersection field.  Everything here is matrix-free:
-an application costs two linear passes (block sums, then scatter).
+an application costs two linear passes (block sums, then gather).
+
+One private table, ``_BlockAverages``, averages one weight row or an
+m x n stack: ``CondExpOperator`` is its one-row view and the sufficiency
+block table its m-row view, so their rows agree bit for bit by
+construction.  One kernel, ``_charged_sup``, takes every sup over the
+outcomes a measure charges.
 
 Conventions: a block of total weight zero maps to output value 0, which
 keeps the operator linear and self-adjoint as written; all norms ignore
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -30,26 +37,81 @@ from .space import (
     as_vector,
     completion,
     meet,
-    null_set,
 )
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
 
 
+def _charged_sup(seen: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Per row, the sup of |X| over the outcomes ``seen`` marks (0 if none)."""
+    return np.where(seen, np.abs(X), 0.0).max(axis=-1)
+
+
+class _BlockAverages:
+    """Weighted block averages over one partition, for every row of ``weights``.
+
+    ``weights`` is one validated weight row or an m x n stack.  Block b of
+    row gamma is flat bin gamma * k + b, so one bincount over the flat
+    labels sums every row over every block, and one gather from the flat
+    sums spreads them back.  ``mass`` holds the block masses (shape k, or
+    m x k); the per-block normalized weights are built on first use, so a
+    table that never averages pays for the masses only.  Vectors handed
+    to the methods are already validated float arrays.
+    """
+
+    def __init__(self, partition: Partition, weights: np.ndarray):
+        self.partition, self.weights = partition, weights
+        block_of, k = partition.block_of, partition.k
+        # shaped like the weights, so a gather through them needs no reshape;
+        # blocks are non-empty, so every flat bin occurs and needs no minlength
+        self._labels = (block_of if weights.ndim == 1 else
+                        block_of + k * np.arange(weights.shape[0])[:, None])
+        self._flat = self._labels.ravel()
+        self.mass = self._sums(weights)
+
+    def _sums(self, X: np.ndarray) -> np.ndarray:
+        """The block sums of every row of ``X``, in one pass (shaped like ``mass``)."""
+        return np.bincount(self._flat, weights=X.ravel()).reshape(
+            self.weights.shape[:-1] + (self.partition.k,))
+
+    @cached_property
+    def normalized(self) -> np.ndarray:
+        # each weight divided by its block's mass, 0 on zero-mass blocks: a
+        # singleton block of positive mass then has weight exactly 1, so the
+        # operator of the finest partition is the exact identity, bit for bit
+        mass_at = self.mass.ravel()[self._labels]
+        return np.divide(self.weights, mass_at, out=np.zeros(mass_at.shape), where=mass_at > 0)
+
+    @cached_property
+    def _seen(self) -> np.ndarray:
+        return self.weights > 0
+
+    def _apply(self, X: np.ndarray) -> np.ndarray:
+        """Row gamma's block average of row gamma of ``X`` (``X`` shaped like the
+        weights): the flat ``_sums`` of ``normalized * X``, gathered back."""
+        return np.bincount(self._flat, weights=(self.normalized * X).ravel())[self._labels]
+
+    def distinf_each(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per row of the weights, the sup of |X - y| over the outcomes that row
+        charges (``X`` is a stack shaped like the weights, or one vector)."""
+        return _charged_sup(self._seen, X - y)
+
+
 class WeightedInnerProduct:
     """Inner product and norms weighted by one probability measure.
 
-    The sup norm runs over outcomes of positive weight only; null
-    coordinates are invisible to every norm here.
+    The measure must pass the ``MeasureFamily`` row rule: finite,
+    nonnegative and summing to 1.  The sup norm runs over outcomes of
+    positive weight only; null coordinates are invisible to every norm here.
     """
 
     def __init__(self, measure):
         w = np.asarray(measure, dtype=float)
         if w.ndim != 1:
             raise StructuralError("measure must be a single weight row")
-        self.measure = w
-        self.charged = np.flatnonzero(w > 0)
+        self.measure = MeasureFamily.single(w).weights[0]
+        self._seen = self.measure > 0
         self.n = w.shape[0]
 
     def inner(self, x, y) -> float:
@@ -77,53 +139,44 @@ class WeightedInnerProduct:
         return float(np.dot(self.measure, x * x))
 
     def _norminf(self, x: np.ndarray) -> float:
-        if not self.charged.size:
-            return 0.0
-        return float(np.max(np.abs(x[self.charged])))
+        return float(_charged_sup(self._seen, x))
 
 
-class CondExpOperator:
+class CondExpOperator(_BlockAverages):
     """Weighted block-average projection for one partition and one measure.
 
     Applying the operator replaces each coordinate by the measure-weighted
     mean of its block; blocks of zero total weight map to 0.  The output
-    is always exactly constant on blocks.
+    is always exactly constant on blocks.  The measure is checked once,
+    where the operator is built, by the ``MeasureFamily`` row rule.
     """
 
     def __init__(self, partition: Partition, measure):
-        w = np.asarray(measure, dtype=float)
-        if w.ndim != 1 or w.shape[0] != partition.n:
+        ip = WeightedInnerProduct(measure)
+        if ip.n != partition.n:
             raise StructuralError(
-                f"measure length {w.shape} does not match partition size {partition.n}"
+                f"measure length {ip.measure.shape} does not match partition size {partition.n}"
             )
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise StructuralError("measure weights must be finite and nonnegative")
-        self.partition = partition
-        self.measure = w
-        self.n = partition.n
-        self.ip = WeightedInnerProduct(w)
-        self._block_of = partition.block_of
-        self._block_mass = np.bincount(self._block_of, weights=w, minlength=partition.k)
-        # Weights normalized per block ahead of time: a singleton block of
-        # positive mass then has weight exactly 1, so the operator of the
-        # finest partition is the exact identity, bit for bit.
-        mass_at = self._block_mass[self._block_of]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            self._normalized = np.where(mass_at > 0, w / mass_at, 0.0)
+        super().__init__(partition, ip.measure)
+        self.measure, self.n, self.ip = ip.measure, partition.n, ip
 
     def apply(self, x) -> np.ndarray:
         return self._apply(as_vector(x, self.n))
 
     __call__ = apply
 
-    def _apply(self, x: np.ndarray) -> np.ndarray:
-        """The block average of a float vector already validated for this operator."""
-        means = np.bincount(self._block_of, weights=self._normalized * x,
-                            minlength=self.partition.k)
-        return means[self._block_of]
-
     def same_measure_as(self, other: "CondExpOperator") -> bool:
         return self.n == other.n and np.array_equal(self.measure, other.measure)
+
+
+def _sharing_one_measure(ops) -> list:
+    """The operators as a non-empty list, checked to share one weighting measure."""
+    ops = list(ops)
+    if not ops:
+        raise StructuralError("need at least one operator")
+    if not all(ops[0].same_measure_as(op) for op in ops[1:]):
+        raise StructuralError("operators must share one weighting measure")
+    return ops
 
 
 class OperatorProduct:
@@ -135,14 +188,8 @@ class OperatorProduct:
     """
 
     def __init__(self, factors: Sequence[CondExpOperator]):
-        factors = tuple(factors)
-        if not factors:
-            raise StructuralError("a product needs at least one factor")
-        first = factors[0]
-        for op in factors[1:]:
-            if not first.same_measure_as(op):
-                raise StructuralError("all factors must share one weighting measure")
-        self.factors = factors
+        self.factors = tuple(_sharing_one_measure(factors))
+        first = self.factors[0]
         self.n = first.n
         self.measure = first.measure
         self.ip = first.ip
@@ -177,14 +224,9 @@ def direct_meet_operator(ops: Sequence[CondExpOperator]) -> CondExpOperator:
     fields.  This is the independent target that iterate limits are
     certified against.
     """
-    ops = list(ops)
-    if not ops:
-        raise StructuralError("need at least one operator")
+    ops = _sharing_one_measure(ops)
     base = ops[0]
-    for op in ops[1:]:
-        if not base.same_measure_as(op):
-            raise StructuralError("operators must share one weighting measure")
-    nulls = null_set(MeasureFamily.single(base.measure))
+    nulls = np.flatnonzero(base.measure == 0)
     completed = [completion(op.partition, nulls) for op in ops]
     target = completed[0]
     for p in completed[1:]:
@@ -289,17 +331,12 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
     reported, not raised.  Only per-iterate scalars are kept, so memory
     does not grow with the number of applications.
     """
-    ops = list(ops)
-    if not ops:
-        raise StructuralError("need at least one operator")
+    ops = _sharing_one_measure(ops)
     if tol <= 0:
         raise StructuralError("tol must be positive")
     if max_iter < 1:
         raise StructuralError("max_iter must be >= 1")
     base = ops[0]
-    for op in ops[1:]:
-        if not base.same_measure_as(op):
-            raise StructuralError("operators must share one weighting measure")
     x = as_vector(x, base.n)
 
     if isinstance(schedule, str) and schedule == "alternating":
@@ -437,7 +474,7 @@ def dyadic_average_trajectory(op, x, n_max: int) -> list[np.ndarray]:
     count = 0
     for level in range(n_max + 1):
         while count < 2 ** level:
-            running = op.apply(op.apply(running))
+            running = op._apply(op._apply(running))
             total = total + running
             count += 1
         averages.append(total / count)

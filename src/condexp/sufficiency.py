@@ -11,11 +11,12 @@ The suite runners replay the constructive argument behind the
 intersection theorems: alternating conditional expectations, computed
 once as a shared version and once per measure, must coincide wherever
 each measure can see.  Every check and every suite round runs on one
-table per (family, partition) pair: the block masses, computed once, and
-kernels that serve a test function, apply all m per-measure block
-averages to an m x n stack in one pass, and measure each measure's sup
-distance.  A suite builds its tables once, not once per round, and each
-per-measure row is what ``CondExpOperator`` would give, bit for bit.
+table per (family, partition) pair: the m-row view of the block-average
+table whose one-row view is ``CondExpOperator``.  It computes the block
+masses once, serves a test function, averages all m rows of an m x n
+stack in one pass and measures each measure's sup distance.  A suite
+builds its tables once, not once per round, and each per-measure row is
+the operator's own output by construction: both run the same kernel.
 Every tolerance and the suites' stop threshold scale with max|f|, so no
 verdict changes when f is scaled.
 """
@@ -28,6 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .operators import _BlockAverages, _charged_sup
 from .space import (
     MeasureFamily,
     Partition,
@@ -92,51 +94,23 @@ class SufficiencyCertificate:
         return np.bincount(p.block_of, weights=self._profile * v, minlength=p.k)[p.block_of]
 
 
-def _check_sizes(family: MeasureFamily, p: Partition) -> None:
-    if family.n != p.n:
-        raise StructuralError(f"family is over {family.n} outcomes but partition covers {p.n}")
+class _BlockTable(_BlockAverages):
+    """The family's m-row block-average table on one partition.
 
-
-def _block_sums(p: Partition, rows: np.ndarray) -> np.ndarray:
-    """Sum of each row over each block: an m x k table."""
-    return np.stack([np.bincount(p.block_of, weights=r, minlength=p.k) for r in rows])
-
-
-class _BlockTable:
-    """The family's block masses on one partition, and the kernels built on them.
-
-    ``mass`` is the m x k table of block masses, ``charged`` says where it
-    is positive and ``ref`` names the first measure charging each block (0
-    where none does).  The per-measure normalized weights, the stacked
-    block labels and the outcome masks are built on first use, so a
-    one-shot check pays for the masses only.  Vectors handed to the
-    methods are already validated float arrays of length n.
+    On top of the shared table (block masses, normalized weights, stacked
+    averages, per-measure sup distances) it holds ``charged``, where the
+    m x k mass is positive, and ``ref``, the first measure charging each
+    block (0 where none does).  Vectors handed to the methods are already
+    validated float arrays of length n.
     """
 
     def __init__(self, family: MeasureFamily, p: Partition):
-        _check_sizes(family, p)
-        self.family, self.p = family, p
-        self.mass = _block_sums(p, family.weights)
+        if family.n != p.n:
+            raise StructuralError(f"family is over {family.n} outcomes but partition covers {p.n}")
+        super().__init__(p, family.weights)
+        self.family = family
         self.charged = self.mass > 0
         self.ref = np.argmax(self.charged, axis=0)
-
-    @cached_property
-    def _normalized(self) -> np.ndarray:
-        # each measure's weights divided by its block mass, 0 on blocks it
-        # does not charge: the same numbers CondExpOperator uses
-        mass_at = self.mass[:, self.p.block_of]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(mass_at > 0, self.family.weights / mass_at, 0.0)
-
-    @cached_property
-    def _stacked_labels(self) -> np.ndarray:
-        # block b under measure gamma is bin gamma * k + b
-        p = self.p
-        return (p.block_of + p.k * np.arange(self.family.m)[:, None]).ravel()
-
-    @cached_property
-    def _seen(self) -> np.ndarray:
-        return self.family.weights > 0
 
     @cached_property
     def _seen_by_any(self) -> np.ndarray:
@@ -144,14 +118,12 @@ class _BlockTable:
 
     def f_scale(self, v: np.ndarray) -> float:
         """Largest |v| over the outcomes some measure charges."""
-        return float(np.max(np.abs(v), where=self._seen_by_any, initial=0.0))
+        return float(_charged_sup(self._seen_by_any, v))
 
     def certify(self, atol: float) -> SufficiencyCertificate:
         """The distributional criterion (the body of ``check_sufficient``)."""
-        w, lab, p = self.family.weights, self.p.block_of, self.p
-        charged, ref = self.charged, self.ref
-        with np.errstate(invalid="ignore", divide="ignore"):
-            cond = w / self.mass[:, lab]
+        cond, p = self.normalized, self.partition
+        lab, charged, ref = p.block_of, self.charged, self.ref
         profile = cond[ref[lab], np.arange(p.n)]
         dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
         gammas, outcomes = np.nonzero(dev > atol)
@@ -169,9 +141,9 @@ class _BlockTable:
     def serve(self, v: np.ndarray, atol: float) -> SufficiencyCertificate:
         """One block function for ``v`` under every measure (the body of
         ``check_sufficient_for_f``), within ``atol`` times max|v| over charged outcomes."""
-        p, charged, ref = self.p, self.charged, self.ref
+        p, charged, ref = self.partition, self.charged, self.ref
         with np.errstate(invalid="ignore", divide="ignore"):
-            means = _block_sums(p, self.family.weights * v) / self.mass
+            means = self._sums(self.weights * v) / self.mass
         shared = means[ref, np.arange(p.k)]
         spread = np.where(charged, np.abs(means - shared), 0.0)
         bad = np.flatnonzero(np.any(spread > atol * self.f_scale(v), axis=0))
@@ -184,20 +156,6 @@ class _BlockTable:
             return SufficiencyCertificate(False, p, witness=witness)
         g = np.where(charged.any(axis=0), shared, 0.0)[p.block_of]
         return SufficiencyCertificate(True, p, g=g)
-
-    def apply_each(self, X: np.ndarray) -> np.ndarray:
-        """Row gamma of the result is measure gamma's block average of row
-        gamma of the m x n stack ``X``: every CondExpOperator of the family on
-        this partition, applied in one pass and bit for bit."""
-        m, k = self.family.m, self.p.k
-        sums = np.bincount(self._stacked_labels, weights=(self._normalized * X).ravel(),
-                           minlength=m * k)
-        return sums.reshape(m, k)[:, self.p.block_of]
-
-    def distinf_each(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per measure, the sup of |X - y| over the outcomes it charges (row
-        gamma of ``X`` if it is a stack, ``X`` itself if it is one vector)."""
-        return np.where(self._seen, np.abs(X - y), 0.0).max(axis=1)
 
 
 def check_sufficient(family: MeasureFamily, p: Partition,
@@ -318,7 +276,7 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
                     f"trajectories split at round {rounds}: sufficiency violated",
             })
         nxt = served.g
-        per_gamma = table.apply_each(per_gamma)
+        per_gamma = table._apply(per_gamma)
         divergence = max(divergence, float(table.distinf_each(per_gamma, nxt).max()))
         step = float(table.distinf_each(nxt, shared).max())
         shared = nxt
@@ -328,7 +286,7 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     direct = at_meet.serve(v, AGREEMENT_ATOL)
     limit_gap = (float(at_meet.distinf_each(shared, direct.g).max())
                  if direct.sufficient else float("inf"))
-    projected = at_meet.apply_each(np.broadcast_to(shared, per_gamma.shape))
+    projected = at_meet._apply(np.broadcast_to(shared, per_gamma.shape))
     measurable = bool(np.all(at_meet.distinf_each(projected, shared) <= tol))
     passed = (meet_cert.sufficient and divergence <= tol
               and limit_gap <= tol and measurable)

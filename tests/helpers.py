@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the library's own fast paths: meets
 via transitive closure, joins via set intersections, operators as explicit
-matrices built from basis vectors, sufficiency by exhaustive indicator
+matrices built from basis vectors, block averages and sup norms as
+per-row bincounts and gathers, sufficiency by exhaustive indicator
 checking or by plain loops over blocks, the theorem suites with their
 operators rebuilt every round.  Tests compare the library against these.
 """
@@ -316,6 +317,45 @@ def check_sufficient_for_f_by_blocks(family: MeasureFamily, p: Partition, f, ato
                     float(spread[worst])), None
         g[idx] = means[0]
     return None, g
+
+
+# ---------------------------------------------------------------------------
+# the block-average and sup kernels written out separately (the library runs
+# one table for one measure and for m of them, and one sup kernel)
+
+def _eagerly_normalized(p: Partition, weights: np.ndarray) -> np.ndarray:
+    """Each row's weights divided by their block's mass, 0 on zero-mass blocks."""
+    mass = np.stack([np.bincount(p.block_of, weights=r, minlength=p.k)
+                     for r in np.atleast_2d(weights)])
+    mass_at = mass[:, p.block_of].reshape(weights.shape)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(mass_at > 0, weights / mass_at, 0.0)
+
+
+def block_average_by_row(p: Partition, w, x) -> np.ndarray:
+    """One measure's block average: one bincount over eagerly normalized weights, then a gather."""
+    normalized = _eagerly_normalized(p, np.asarray(w, dtype=float))
+    return np.bincount(p.block_of, weights=normalized * x, minlength=p.k)[p.block_of]
+
+
+def block_averages_stacked(p: Partition, weights, X) -> np.ndarray:
+    """Row gamma is measure gamma's block average of row gamma of the m x n
+    stack ``X``, from one bincount over stacked labels (block b of measure
+    gamma is bin gamma * k + b) and a gather from the m x k sums."""
+    weights = np.asarray(weights, dtype=float)
+    m, k = weights.shape[0], p.k
+    labels = (p.block_of + k * np.arange(m)[:, None]).ravel()
+    sums = np.bincount(labels, weights=(_eagerly_normalized(p, weights) * X).ravel(),
+                       minlength=m * k)
+    return sums.reshape(m, k)[:, p.block_of]
+
+
+def norminf_by_gather(w, x) -> float:
+    """The sup of |x| over the outcomes ``w`` charges, from a gather of them."""
+    charged = np.flatnonzero(np.asarray(w) > 0)
+    if not charged.size:
+        return 0.0
+    return float(np.max(np.abs(np.asarray(x, dtype=float)[charged])))
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import pytest
 
 from condexp import (
     CondExpOperator,
+    MeasureFamily,
+    OperatorProduct,
     Partition,
     StructuralError,
     WeightedInnerProduct,
@@ -20,17 +22,24 @@ from condexp import (
     sandwich_product,
     verify_projection_properties,
 )
+from condexp import operators
 from condexp.rng import portable_rng
+from condexp.sufficiency import _BlockTable
 
 from helpers import (
+    block_average_by_row,
+    block_averages_stacked,
     iterate_keeping_trajectory,
     ledger_keeping_powers,
     matrix_power_limit,
+    norminf_by_gather,
     operator_matrix,
     partition_of_labels,
     random_measure_with_nulls,
     random_partition,
     random_positive_measure,
+    random_refinement,
+    shared_family_with_gaps,
 )
 
 UNIFORM4 = np.full(4, 0.25)
@@ -71,6 +80,49 @@ def test_apply_singletons_is_exact_identity():
         T = CondExpOperator(Partition.singletons(n), random_positive_measure(rng, n))
         x = rng.normal(size=n)
         assert np.array_equal(T.apply(x), x)
+
+
+@pytest.mark.parametrize("measure", [
+    [1, 1, 1, 1],                          # sums to 4
+    [0, 0, 0, 0],                          # sums to 0
+    [0.25, 0.25, 0.25, 0.25 + 3e-12],      # off by more than ROW_SUM_TOL
+    [0.5, 0.5, -0.25, 0.25],               # negative weight
+    [0.25, 0.25, 0.25, np.nan],
+])
+def test_measure_that_is_not_a_probability_is_rejected_on_entry(measure):
+    # the MeasureFamily row rule, applied where the operator is built
+    # rather than by iterate or the ledger later on
+    with pytest.raises(StructuralError):
+        CondExpOperator(P_ROWS, measure)
+    with pytest.raises(StructuralError):
+        WeightedInnerProduct(measure)
+
+
+def test_measure_rejections_name_the_row_rule():
+    with pytest.raises(StructuralError, match="sums to"):
+        CondExpOperator(P_ROWS, [1, 1, 1, 1])
+    with pytest.raises(StructuralError, match="negative"):
+        WeightedInnerProduct([-1, 2])
+    with pytest.raises(StructuralError, match="does not match partition size"):
+        CondExpOperator(P_ROWS, [0.5, 0.5])
+    with pytest.raises(StructuralError, match="single weight row"):
+        WeightedInnerProduct([[0.5, 0.5]])
+    # within ROW_SUM_TOL is accepted, as MeasureFamily accepts it
+    w = [0.25, 0.25, 0.25, 0.25 + 5e-13]
+    MeasureFamily.single(w)
+    T = CondExpOperator(P_ROWS, w)
+    assert np.allclose(T.apply([1, 2, 3, 4]), [1.5, 1.5, 3.5, 3.5], rtol=0, atol=1e-12)
+
+
+def test_operators_sharing_a_measure_is_checked_by_every_consumer():
+    t1 = CondExpOperator(P_ROWS, UNIFORM4)
+    t2 = CondExpOperator(P_COLS, [0.4, 0.1, 0.1, 0.4])
+    for build in (OperatorProduct, direct_meet_operator,
+                  lambda ops: iterate(ops, [1, 2, 3, 4])):
+        with pytest.raises(StructuralError, match="share one weighting measure"):
+            build([t1, t2])
+        with pytest.raises(StructuralError, match="at least one operator"):
+            build([])
 
 
 def test_apply_size_mismatch():
@@ -414,6 +466,31 @@ def test_dyadic_averages_approach_even_power_limit_monotonically():
         assert tail[-1] <= 1e-6 or tail[-1] <= tail[0]
 
 
+def test_dyadic_averages_validate_once_and_match_the_checked_loop(monkeypatch):
+    rng = portable_rng(21)
+    n = 9
+    w = random_measure_with_nulls(rng, n, 2)
+    t1 = CondExpOperator(random_partition(rng, n), w)
+    t2 = CondExpOperator(random_partition(rng, n), w)
+    x = rng.uniform(-1, 1, n)
+    for op in (t1, sandwich_product(t1, t2)):
+        # the same running sum through the validating public apply
+        expected, running, total = [], x, np.zeros(n)
+        for count in range(1, 2 ** 5 + 1):
+            running = op.apply(op.apply(running))
+            total = total + running
+            if count & (count - 1) == 0:
+                expected.append(total / count)
+        calls = []
+        real = operators.as_vector
+        monkeypatch.setattr(operators, "as_vector", lambda *a: calls.append(1) or real(*a))
+        averages = dyadic_average_trajectory(op, x, 5)
+        monkeypatch.setattr(operators, "as_vector", real)
+        assert len(calls) == 1
+        assert len(averages) == len(expected) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(averages, expected))
+
+
 def test_dyadic_level_cap():
     T = CondExpOperator(P_ROWS, UNIFORM4)
     with pytest.raises(StructuralError):
@@ -529,3 +606,39 @@ def test_ledger_matches_the_kept_powers_bit_for_bit():
         assert np.array_equal(report.terms, terms)
         assert (report.partial_sum, report.weighted_sum, report.bound,
                 report.weighted_target) == (partial, weighted, bound, target)
+
+
+# ---------------------------------------------------------------------------
+# one block-average table for one measure and for m: an independent judge
+
+def test_block_average_table_equals_the_separate_kernels_bit_for_bit():
+    rng = portable_rng(45)
+    seen = set()
+    for case in range(160):
+        n, m = int(rng.integers(1, 17)), 1 + case % 4
+        fam, base = shared_family_with_gaps(rng, n, m, k=max(1, n // 3))
+        p = (Partition.singletons(n) if case % 5 == 0 else
+             Partition.trivial(n) if case % 5 == 1 else
+             random_partition(rng, n) if case % 5 == 2 else random_refinement(rng, base))
+        X = rng.uniform(-1, 1, (m, n)) * 10.0 ** rng.uniform(-3, 6)
+        y = rng.uniform(-1, 1, n)
+        table = _BlockTable(fam, p)
+        stacked = table._apply(X)
+        assert np.array_equal(stacked, block_averages_stacked(p, fam.weights, X))
+        assert np.array_equal(table.distinf_each(X, y),
+                              [norminf_by_gather(w, x - y) for w, x in zip(fam.weights, X)])
+        assert np.array_equal(table.distinf_each(X[0], y),
+                              [norminf_by_gather(w, X[0] - y) for w in fam.weights])
+        for gamma, (w, x) in enumerate(zip(fam.weights, X)):
+            op = CondExpOperator(p, w)
+            applied = op.apply(x)
+            assert np.array_equal(applied, block_average_by_row(p, w, x))
+            assert np.array_equal(applied, stacked[gamma])
+            assert op.ip._norminf(x) == op.ip.norminf(x) == norminf_by_gather(w, x)
+        zero_pair = bool(np.any((table.mass == 0) & table.charged.any(axis=0)))
+        shape = "singletons" if p.k == n else "trivial" if p.k == 1 else "other"
+        seen.add((m, shape, bool(np.any(~fam.weights.any(axis=0))), zero_pair))
+    assert {m for m, *_ in seen} == {1, 2, 3, 4}
+    assert {shape for _, shape, *_ in seen} == {"singletons", "trivial", "other"}
+    assert any(nulls for _, _, nulls, _ in seen)
+    assert any(zero_pair for *_, zero_pair in seen)
