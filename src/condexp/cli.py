@@ -296,15 +296,14 @@ def _cmd_counterexample(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--tol", type=float, default=1e-10,
-                        help="numerical tolerance (default 1e-10)")
-    shared.add_argument("--max-iter", type=int, default=10_000,
-                        help="iteration cap (default 10000)")
-    shared.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks; current subcommands "
-                             "are deterministic and accept it for uniformity")
     shared.add_argument("--out", default=None,
                         help="also write the textual report to this path")
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-10,
+                     help="numerical tolerance (default 1e-10)")
+    cap = argparse.ArgumentParser(add_help=False)
+    cap.add_argument("--max-iter", type=int, default=10_000,
+                     help="iteration cap (default 10000)")
 
     parser = _Parser(
         prog="condexp",
@@ -316,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_it = sub.add_parser(
-        "iterate", parents=[shared],
+        "iterate", parents=[shared, tol, cap],
         help="run alternating conditional expectations and certify the limit",
         epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_it.add_argument("--space", required=True, help="space-description JSON file")
@@ -324,13 +323,14 @@ def build_parser() -> argparse.ArgumentParser:
                       help="comma-separated partition names from the space file")
     p_it.add_argument("--measure", type=int, default=0,
                       help="measure row index used as the weighting (default 0)")
-    p_it.add_argument("--x", help="start vector, comma- or space-separated")
+    p_it.add_argument("--x", help="start vector, comma- or space-separated; write a "
+                                   "negative first entry as --x=-1,2,3")
     p_it.add_argument("--x-file", help="file with the start vector")
     p_it.add_argument("--report", help="write the per-iterate CSV trajectory here")
     p_it.set_defaults(func=_cmd_iterate)
 
     p_lm = sub.add_parser(
-        "lemma", parents=[shared],
+        "lemma", parents=[shared, tol],
         help="check a sequence prefix: convex-sum identity or dyadic sup bound",
         epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_lm.add_argument("--which", required=True, choices=("convex-sum", "dyadic"))
@@ -342,12 +342,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_lm.set_defaults(func=_cmd_lemma)
 
     p_su = sub.add_parser(
-        "sufficiency", parents=[shared],
+        "sufficiency", parents=[shared, cap],
         help="sufficiency certificate/witness for a partition, or theorem suites",
         epilog=EXIT_CODE_HELP, formatter_class=argparse.RawDescriptionHelpFormatter)
     p_su.add_argument("--space", required=True, help="space-description JSON file")
     p_su.add_argument("--partition", help="partition name to check")
-    p_su.add_argument("--f", help="test vector: check serving this f only")
+    p_su.add_argument("--f", help="test vector: check serving this f only; write a "
+                                   "negative first entry as --f=-1,2,3")
     p_su.add_argument("--suite", choices=("intersection", "chain", "countable"),
                       help="run a theorem suite instead of a single check")
     p_su.add_argument("--partitions", help="comma-separated names for --suite")

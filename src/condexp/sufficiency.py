@@ -236,24 +236,36 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     the constructive proof: alternating shared conditional expectations
     converge, stay in step with every per-measure trajectory, and land on
     the meet's own conditional mean.  The replay stops once a round moves
-    the shared version by at most 1e-14 times max|f|.
+    the shared version by at most 1e-14 times max|f| over the outcomes
+    some measure charges.
     """
+    first, second = _BlockTable(family, p1), _BlockTable(family, p2)
+    return _pairwise(first, first.certify(AGREEMENT_ATOL), second, f, max_rounds)[0]
+
+
+def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
+              second: _BlockTable, f, max_rounds: int
+              ) -> tuple[SuiteReport, _BlockTable | None, SufficiencyCertificate | None]:
+    """The pairwise suite on a first table whose certificate is already
+    known; returns the report with the meet's table and certificate (both
+    None when a precondition fails)."""
     name = "intersection sufficiency"
-    tables = (_BlockTable(family, p1), _BlockTable(family, p2))
-    for label, table in zip(("p1", "p2"), tables):
-        cert = table.certify(AGREEMENT_ATOL)
-        if not cert.sufficient:
-            return SuiteReport(name, hypothesis_met=False, passed=False, details={
-                "failed_precondition": f"{label} is not sufficient",
-                "witness": cert.witness.description,
-            })
+    family, p1, p2 = first.family, first.partition, second.partition
+    label, cert = "p1", first_cert
+    if cert.sufficient:
+        label, cert = "p2", second.certify(AGREEMENT_ATOL)
+    if not cert.sufficient:
+        return SuiteReport(name, hypothesis_met=False, passed=False, details={
+            "failed_precondition": f"{label} is not sufficient",
+            "witness": cert.witness.description,
+        }), None, None
     nulls = null_set(family)
     if not (contains_null_field(p1, nulls) or contains_null_field(p2, nulls)):
         return SuiteReport(name, hypothesis_met=False, passed=False, details={
             "failed_precondition":
                 "neither partition contains the family's null field",
             "null_indices": sorted(nulls),
-        })
+        }), None, None
 
     ground = meet(p1, p2)
     at_meet = _BlockTable(family, ground)
@@ -265,8 +277,9 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     per_gamma = np.broadcast_to(v, (family.m, family.n))
     divergence = 0.0
     rounds = 0
-    settle = 1e-14 * float(np.max(np.abs(v), initial=0.0))
-    tol = TRAJECTORY_TOL * at_meet.f_scale(v)
+    scale = at_meet.f_scale(v)
+    settle, tol = 1e-14 * scale, TRAJECTORY_TOL * scale
+    tables = (first, second)
     for rounds in range(1, max_rounds + 1):
         table = tables[(rounds - 1) % 2]
         served = table.serve(shared, AGREEMENT_ATOL)
@@ -274,7 +287,7 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition":
                     f"trajectories split at round {rounds}: sufficiency violated",
-            })
+            }), None, None
         nxt = served.g
         per_gamma = table._apply(per_gamma)
         divergence = max(divergence, float(table.distinf_each(per_gamma, nxt).max()))
@@ -303,22 +316,23 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
         },
         conclusion=ground,
         g=shared,
-    )
+    ), at_meet, meet_cert
 
 
 def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
                            f=None) -> SuiteReport:
     """Replay the decreasing-chain theorem: a finite chain stabilizes and
-    its stable tail is the sufficient intersection.
+    its stable element, the intersection, is sufficient and serves f.
 
     The chain must be genuinely decreasing (each partition coarser than
     the one before); that is a structural error, not a reported failure.
-    Sufficiency of each element is a reported precondition.
+    The meet of such a chain is its last element, so nothing is folded.
+    Sufficiency of each element is a reported precondition; f is then
+    served once, on the last element.
     """
     chain = list(chain)
     if not chain:
         raise StructuralError("chain must be non-empty")
-    tables = [_BlockTable(family, p) for p in chain]
     for k in range(len(chain) - 1):
         if not chain[k + 1].refines(chain[k]) and not chain[k].refines(chain[k + 1]):
             raise StructuralError(
@@ -329,8 +343,9 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
                 f"chain is not decreasing between elements {k} and {k + 1}"
             )
     name = "decreasing chain sufficiency"
-    for k, table in enumerate(tables):
-        cert = table.certify(AGREEMENT_ATOL)
+    for k, p in enumerate(chain):
+        last = _BlockTable(family, p)
+        cert = last.certify(AGREEMENT_ATOL)
         if not cert.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition": f"chain element {k} is not sufficient",
@@ -338,31 +353,19 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
                 "witness": cert.witness.description,
             })
 
-    # every element, the stable one included, is certified sufficient above
     stable = chain[-1]
-    stable_from = next(k for k, p in enumerate(chain) if p == stable)
-    folded = chain[0]
-    for p in chain[1:]:
-        folded = meet(folded, p)
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
-    # only the tail from stable_from on enters the gap
-    tail = [table.serve(v, AGREEMENT_ATOL).g for table in tables[stable_from:]]
-    last = tables[-1]
-    tail_gap = (max(float(last.distinf_each(g, tail[-1]).max()) for g in tail)
-                if tail[-1] is not None else float("inf"))
-    passed = folded == stable and tail_gap <= TRAJECTORY_TOL * last.f_scale(v)
+    served = last.serve(v, AGREEMENT_ATOL)
     return SuiteReport(
         name,
         hypothesis_met=True,
-        passed=passed,
+        passed=served.sufficient,
         details={
-            "stabilizes_at": stable_from,
-            "stable_equals_meet": folded == stable,
-            "stable_sufficient": True,
-            "trajectory_tail_gap": tail_gap,
+            "stabilizes_at": next(k for k, p in enumerate(chain) if p == stable),
+            "stable_serves_f": served.sufficient,
         },
         conclusion=stable,
-        g=tail[-1],
+        g=served.g,
     )
 
 
@@ -373,43 +376,39 @@ def countable_intersection_suite(family: MeasureFamily,
 
     On a finite space the running meets stabilize after finitely many
     steps; the final meet must be sufficient, with each pairwise step
-    carrying its own full replay report.
+    carrying its own full replay report.  Each step hands its meet's
+    table and certificate to the next, so no partition is certified twice.
     """
     parts = list(parts)
     if not parts:
         raise StructuralError("need at least one partition")
     name = "countable intersection sufficiency"
-    first = check_sufficient(family, parts[0])
-    if not first.sufficient:
+    running = _BlockTable(family, parts[0])
+    cert = running.certify(AGREEMENT_ATOL)
+    if not cert.sufficient:
         return SuiteReport(name, hypothesis_met=False, passed=False, details={
             "failed_precondition": "partition 0 is not sufficient",
-            "witness": first.witness.description,
+            "witness": cert.witness.description,
         })
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
-    running = parts[0]
     steps: list[SuiteReport] = []
     for p in parts[1:]:
-        step = intersection_sufficiency_suite(family, running, p, f=v,
-                                              max_rounds=max_rounds)
+        step, running, cert = _pairwise(running, cert, _BlockTable(family, p), v, max_rounds)
         steps.append(step)
         if not step.hypothesis_met:
             return SuiteReport(name, hypothesis_met=False, passed=False,
                                details={"failed_at_step": len(steps) - 1},
                                steps=tuple(steps))
-        running = step.conclusion
-    # the last step certified its meet, the final one; with no step it is parts[0]
-    final_sufficient = steps[-1].details["meet_sufficient"] if steps else True
-    passed = final_sufficient and all(s.passed for s in steps)
-    g = steps[-1].g if steps else check_sufficient_for_f(family, running, v).g
+    g = steps[-1].g if steps else running.serve(v, AGREEMENT_ATOL).g
     return SuiteReport(
         name,
         hypothesis_met=True,
-        passed=passed,
+        passed=cert.sufficient and all(s.passed for s in steps),
         details={
-            "final_meet_sufficient": final_sufficient,
+            "final_meet_sufficient": cert.sufficient,
             "pairwise_steps": len(steps),
         },
-        conclusion=running,
+        conclusion=running.partition,
         g=g,
         steps=tuple(steps),
     )

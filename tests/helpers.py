@@ -433,7 +433,7 @@ def intersection_suite_rebuilding_operators(family: MeasureFamily, p1: Partition
     ips = [WeightedInnerProduct(family.row(g)) for g in range(family.m)]
     charged = family.weights.any(axis=0)
     tol = TRAJECTORY_TOL * float(np.max(np.abs(v), where=charged, initial=0.0))
-    settle = 1e-14 * float(np.max(np.abs(v), initial=0.0))
+    settle = 1e-14 * float(np.max(np.abs(v), where=charged, initial=0.0))
     shared, per_gamma, divergence, rounds = v, [v] * family.m, 0.0, 0
     for rounds in range(1, max_rounds + 1):
         p = p1 if rounds % 2 == 1 else p2

@@ -115,6 +115,13 @@ def test_iterate_x_file_and_measure_flag(space_file, tmp_path, capsys):
     assert code == 0
 
 
+def test_iterate_x_with_a_negative_first_entry(space_file, capsys):
+    code = main(["iterate", "--space", space_file, "--partitions", "rows,cols",
+                 "--x=-1,2,3,4"])
+    assert code == 0
+    assert "converged" in capsys.readouterr().out
+
+
 def test_iterate_requires_start_vector(space_file, capsys):
     code = main(["iterate", "--space", space_file, "--partitions", "rows,cols"])
     assert code == 64
@@ -239,10 +246,20 @@ def test_sufficiency_suite_chain_and_countable(coin_file, capsys):
     code = main(["sufficiency", "--space", coin_file, "--suite", "chain",
                  "--partitions", "points,sum"])
     assert code == 0
+    assert capsys.readouterr().out == ("decreasing chain sufficiency: pass\n"
+                                       "  stabilizes_at = 1\n"
+                                       "  stable_serves_f = True\n")
     code = main(["sufficiency", "--space", coin_file, "--suite", "countable",
                  "--partitions", "sum,points,sum"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_sufficiency_for_f_with_a_negative_first_entry(coin_file, capsys):
+    code = main(["sufficiency", "--space", coin_file, "--partition", "sum",
+                 "--f=-1,1,1,2"])
+    assert code == 0
+    assert capsys.readouterr().out.endswith("g = -1.0 1.0 1.0 2.0\n")
 
 
 def test_sufficiency_requires_partition_or_suite(coin_file, capsys):
@@ -319,6 +336,23 @@ def test_usage_error_exit_code_is_64(capsys):
         main(["iterate"])              # missing required flags
     assert exc.value.code == 64
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["sufficiency", "--space", "coin.json", "--partition", "sum", "--tol", "1e-3"],
+    ["counterexample", "refute", "--expr", "(a 1 1 +)", "--tol", "1e-3"],
+    ["lemma", "--which", "dyadic", "--input", "seq.csv", "--max-iter", "5"],
+    ["counterexample", "refute", "--expr", "(a 1 1 +)", "--max-iter", "5"],
+    ["iterate", "--space", "s.json", "--partitions", "rows", "--x", "1", "--seed", "1"],
+    ["lemma", "--which", "dyadic", "--input", "seq.csv", "--seed", "1"],
+    ["sufficiency", "--space", "coin.json", "--partition", "sum", "--seed", "1"],
+    ["counterexample", "refute", "--expr", "(a 1 1 +)", "--seed", "1"],
+])
+def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 64
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_every_subcommand_has_help_with_exit_codes(capsys):

@@ -17,6 +17,7 @@ from condexp import (
     intersection_sufficiency_suite,
     meet,
     null_set,
+    sufficiency,
 )
 from condexp.rng import portable_rng
 from condexp.sufficiency import AGREEMENT_ATOL
@@ -267,7 +268,10 @@ def test_chain_of_nested_sufficient_coarsenings():
             chain.append(coarsen_within(rng, chain[-1], base))
         report = decreasing_chain_suite(fam, chain)
         assert report.hypothesis_met and report.passed
+        assert set(report.details) == {"stabilizes_at", "stable_serves_f"}
         assert report.conclusion == chain[-1]
+        served = check_sufficient_for_f(fam, chain[-1], np.arange(1.0, n + 1.0)).g
+        assert report.g.tobytes() == served.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +305,24 @@ def test_countable_suite_three_random_coarsenings():
             folded = meet(folded, p)
         assert report.conclusion == folded
         assert check_sufficient(fam, folded).sufficient
+
+
+def test_countable_suite_certifies_each_partition_once(monkeypatch):
+    calls = []
+    certify = sufficiency._BlockTable.certify
+
+    def counting(table, atol):
+        calls.append(table.partition)
+        return certify(table, atol)
+
+    monkeypatch.setattr(sufficiency._BlockTable, "certify", counting)
+    rng = portable_rng(45)
+    fam, base = shared_conditional_family(rng, 12, m=2, k=4)
+    parts = [random_refinement(rng, base) for _ in range(3)]
+    report = countable_intersection_suite(fam, parts)
+    assert report.hypothesis_met and report.passed
+    assert len(calls) == 1 + 2 * report.details["pairwise_steps"] == 5
+    assert report == countable_suite_rebuilding_operators(fam, parts)
 
 
 def test_countable_suite_flags_bad_first_partition():
@@ -457,6 +479,20 @@ def test_suites_equal_the_operator_rebuilding_loop():
     assert any(not any(passed) for _, _, _, *passed in seen)
 
 
+def test_suite_stop_ignores_f_on_null_outcomes():
+    # outcome 5 is null under both measures; a large f there must not end the replay early
+    w = [0.1, 0.3, 0.2, 0.15, 0.25, 0.0]
+    fam = MeasureFamily([w, w])
+    p1 = Partition([[0, 1], [2, 3], [4], [5]])
+    p2 = Partition([[1, 2], [3, 4], [0], [5]])
+    reports = [intersection_sufficiency_suite(fam, p1, p2, f=[1, -2, 3, 0.5, -1, big])
+               for big in (0.0, 1e6, 1e14)]
+    assert all(r.hypothesis_met and r.passed for r in reports), reports[-1].summary()
+    assert len({r.details["rounds"] for r in reports}) == 1
+    assert reports[1] == intersection_suite_rebuilding_operators(
+        fam, p1, p2, f=[1, -2, 3, 0.5, -1, 1e6])
+
+
 def split_pair():
     """Two measures whose profiles on the trivial partition differ by
     0.9e-10 per outcome, inside the criterion's tolerance, while their
@@ -482,4 +518,4 @@ def test_chain_whose_stable_element_cannot_serve_f_fails():
     report = decreasing_chain_suite(fam, [Partition.singletons(4), Partition.trivial(4)],
                                     f=ALTERNATING)
     assert report.hypothesis_met and not report.passed
-    assert report.details["trajectory_tail_gap"] == float("inf") and report.g is None
+    assert report.details["stable_serves_f"] is False and report.g is None
