@@ -25,7 +25,7 @@ import numpy as np
 
 from . import counterexample as ce
 from . import sequences
-from .operators import CondExpOperator, iterate
+from .operators import DEFAULT_MAX_ITER, DEFAULT_TOL, CondExpOperator, iterate
 from .space import StructuralError
 from .spacefile import SpaceBundle, load_space_file, space_file_dict, write_space_file
 from .sufficiency import (
@@ -67,6 +67,12 @@ def _emit(text: str, out_path) -> None:
     sys.stdout.write(text)
     if out_path:
         Path(out_path).write_text(text)
+
+
+def _or_default(value, default):
+    """A flag's value, or its default when it was not given.  Flags default
+    to None so that a path which does not read a flag can refuse it."""
+    return default if value is None else value
 
 
 def _parse_vector(text: str) -> np.ndarray:
@@ -128,14 +134,15 @@ def _cmd_iterate(args) -> int:
         x = _read_vector_file(args.x_file)
     else:
         raise UsageError("one of --x or --x-file is required")
-    report = iterate(ops, x, tol=args.tol, max_iter=args.max_iter)
+    report = iterate(ops, x, tol=_or_default(args.tol, DEFAULT_TOL),
+                     max_iter=_or_default(args.max_iter, DEFAULT_MAX_ITER))
 
     lines = ["iter,norm2_sq,diff2_sq,sup_residual"]
     diffs = [repr(d) for d in report.diffs2.tolist()] + [""]
     for k, (norm2, diff, residual) in enumerate(
             zip(report.norms2.tolist(), diffs, report.residuals.tolist())):
         lines.append(f"{k + 1},{norm2!r},{diff},{residual!r}")
-    lines.append("# limit: " + " ".join(repr(float(v)) for v in report.limit))
+    lines.append("# limit: " + " ".join(map(repr, report.limit.tolist())))
     csv_text = "\n".join(lines) + "\n"
     if args.report:
         Path(args.report).write_text(csv_text)
@@ -182,11 +189,14 @@ def _format_bound_report(rep: sequences.BoundReport) -> str:
 
 
 def _cmd_lemma(args) -> int:
+    if args.which == "dyadic" and args.tol is not None:
+        raise UsageError("--tol is read only by --which convex-sum")
     values, limit = _read_sequence_csv(args.input)
     if args.which == "convex-sum":
         if limit is None:
             raise StructuralError(f"{args.input}: convex-sum needs a 'limit=' header")
-        rep = sequences.convex_sum_identity(values, limit, tol=args.tol)
+        rep = sequences.convex_sum_identity(values, limit,
+                                            tol=_or_default(args.tol, DEFAULT_TOL))
         _emit(_format_identity_report(rep), args.out)
         return EX_OK if rep.passed else EX_NEGATIVE
     # dyadic: the declared limit doubles as the anchor value a_0
@@ -215,23 +225,25 @@ def _suite_exit(report: SuiteReport) -> int:
 
 
 def _cmd_sufficiency(args) -> int:
+    if args.max_iter is not None and args.suite not in ("intersection", "countable"):
+        raise UsageError("--max-iter is read only by --suite intersection and --suite countable")
     bundle = load_space_file(args.space)
     if args.suite:
         if not args.partitions:
             raise UsageError("--suite needs --partitions NAME,NAME,...")
         parts = [bundle.partition(s) for s in args.partitions.split(",") if s]
         f = _parse_vector(args.f) if args.f is not None else None
+        rounds = _or_default(args.max_iter, DEFAULT_MAX_ITER)
         if args.suite == "intersection":
             if len(parts) != 2:
                 raise UsageError("--suite intersection needs exactly two partitions")
             report = intersection_sufficiency_suite(bundle.family, parts[0],
-                                                    parts[1], f=f,
-                                                    max_rounds=args.max_iter)
+                                                    parts[1], f=f, max_rounds=rounds)
         elif args.suite == "chain":
             report = decreasing_chain_suite(bundle.family, parts, f=f)
         else:
             report = countable_intersection_suite(bundle.family, parts, f=f,
-                                                  max_rounds=args.max_iter)
+                                                  max_rounds=rounds)
         _emit(report.summary() + "\n", args.out)
         return _suite_exit(report)
 
@@ -299,11 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--out", default=None,
                         help="also write the textual report to this path")
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-10,
-                     help="numerical tolerance (default 1e-10)")
+    tol.add_argument("--tol", type=float, default=None,
+                     help=f"numerical tolerance (default {DEFAULT_TOL:g})")
     cap = argparse.ArgumentParser(add_help=False)
-    cap.add_argument("--max-iter", type=int, default=10_000,
-                     help="iteration cap (default 10000)")
+    cap.add_argument("--max-iter", type=int, default=None,
+                     help=f"iteration cap (default {DEFAULT_MAX_ITER})")
 
     parser = _Parser(
         prog="condexp",

@@ -7,6 +7,14 @@ operators drive the alternating iteration whose limit is the conditional
 expectation given the intersection field.  Everything here is matrix-free:
 an application costs two linear passes (block sums, then gather).
 
+``iterate`` pays that O(n) cost once: it runs the limit and the first
+application on the n outcomes, builds the cells (the blocks of the join
+of the partitions), and runs every later application on one value per
+cell under the cell masses, at O(cells + sum of the block counts) each.
+When the join is the finest partition the cells are the outcomes in their
+own order and the run is bit for bit the n-space run; otherwise its sums
+are taken over cells and differ from it in the last digits.
+
 One private table, ``_BlockAverages``, averages one weight row or an
 m x n stack: ``CondExpOperator`` is its one-row view and the sufficiency
 block table its m-row view, so their rows agree bit for bit by
@@ -22,8 +30,10 @@ only sense a finite space has.
 from __future__ import annotations
 
 import itertools
+import math
+import numbers
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -36,6 +46,7 @@ from .space import (
     _fields_equal,
     as_vector,
     completion,
+    join,
     meet,
 )
 
@@ -330,12 +341,20 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
     exhausted, or after ``max_iter`` applications.  Non-convergence is
     reported, not raised.  Only per-iterate scalars are kept, so memory
     does not grow with the number of applications.
+
+    The first application runs on the n outcomes.  Every later iterate is
+    constant on the cells of the join of the partitions, and so is the
+    limit on the outcomes the measure charges, so the rest of the run
+    averages one value per cell under the cell masses; ``final`` is
+    spread back to the outcomes once.
     """
     ops = _sharing_one_measure(ops)
-    if tol <= 0:
-        raise StructuralError("tol must be positive")
-    if max_iter < 1:
-        raise StructuralError("max_iter must be >= 1")
+    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
+            and math.isfinite(tol) and tol > 0):
+        raise StructuralError(f"tol must be finite and positive, got {tol!r}")
+    if not (isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
+            and max_iter >= 1):
+        raise StructuralError(f"max_iter must be an integer >= 1, got {max_iter!r}")
     base = ops[0]
     x = as_vector(x, base.n)
 
@@ -347,44 +366,71 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
                    and 0 <= i < len(ops) for i in indices):
             raise StructuralError(
                 f"schedule entries must be indices into the {len(ops)} operators")
+        indices = iter(indices)
 
     ip = base.ip
     limit = direct_meet_operator(ops)._apply(x)
+    first = next(indices, None)
+    if first is None:
+        return IterationReport(
+            final=x, norms2=np.empty(0), diffs2=np.empty(0), residuals=np.empty(0),
+            limit=limit, iterations_used=0, converged=False,
+            residual=ip._norminf(x - limit), stop_reason="schedule exhausted")
+    cur = ops[first]._apply(x)
 
-    norms2: list[float] = []
+    # Cells: the blocks of the join.  They are numbered by least outcome, so
+    # the running maximum of the labels steps up by one exactly at each
+    # cell's least outcome.  Each operator becomes a table over cells
+    # weighted by the cell masses; when the join is the finest partition
+    # these are the operators' own tables.
+    cell_of = reduce(join, (op.partition for op in ops)).block_of
+    least = np.flatnonzero(np.diff(np.maximum.accumulate(cell_of), prepend=-1))
+    mass = np.bincount(cell_of, weights=base.measure)
+    seen = mass > 0
+    tables = [_BlockAverages(Partition._from_labels(op.partition.block_of[least]), mass)
+              for op in ops]
+    # the limit is constant on the charged outcomes of a cell; the value of
+    # a zero-mass cell is never read, since every sup runs over ``seen``
+    cell_limit = np.zeros(mass.size)
+    cell_limit[cell_of[ip._seen]] = limit[ip._seen]
+
+    norms2 = [ip._norm2_sq(cur)]
     diffs2: list[float] = []
-    residuals: list[float] = []
-    prev = x
-    stop_reason = "schedule exhausted"
-    for idx in indices:
-        cur = ops[idx]._apply(prev)
-        d = cur - prev
-        if norms2:
-            diffs2.append(ip._norm2_sq(d))
-        norms2.append(ip._norm2_sq(cur))
-        residuals.append(ip._norminf(cur - limit))
-        prev = cur
+    residuals = [ip._norminf(cur - limit)]
+    step = ip._norminf(cur - x)
+    cur = cur[least]
+    while True:
         # A small step alone is not enough: an operator that happens to fix
         # the current iterate (the identity, say) would freeze the run before
         # the others act.  Stop only once the iterate is certified and every
         # operator is done moving it.
-        if (ip._norminf(d) <= tol and residuals[-1] <= tol
-                and all(ip._norminf(op._apply(cur) - cur) <= tol for op in ops)):
+        if (step <= tol and residuals[-1] <= tol
+                and all(_charged_sup(seen, t._apply(cur) - cur) <= tol for t in tables)):
             stop_reason = "tolerance met"
             break
         if len(norms2) >= max_iter:
             stop_reason = "iteration cap"
             break
+        idx = next(indices, None)
+        if idx is None:
+            stop_reason = "schedule exhausted"
+            break
+        prev, cur = cur, tables[idx]._apply(cur)
+        d = cur - prev
+        diffs2.append(float(np.dot(mass, d * d)))
+        norms2.append(float(np.dot(mass, cur * cur)))
+        residuals.append(float(_charged_sup(seen, cur - cell_limit)))
+        step = float(_charged_sup(seen, d))
 
     return IterationReport(
-        final=prev,
+        final=cur[cell_of],
         norms2=np.array(norms2),
         diffs2=np.array(diffs2),
         residuals=np.array(residuals),
         limit=limit,
         iterations_used=len(norms2),
         converged=stop_reason == "tolerance met",
-        residual=residuals[-1] if residuals else ip._norminf(x - limit),
+        residual=residuals[-1],
         stop_reason=stop_reason,
     )
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -89,14 +90,41 @@ def test_iterate_chain_csv_matches_the_kept_trajectory(tmp_path, capsys):
     bundle = load_space_file(str(space))
     ops = [CondExpOperator(bundle.partition(name), w) for name in ("a", "b")]
     _, norms2, diffs2, residuals, limit = iterate_keeping_trajectory(ops, x, len(lines) - 2)
+    rows = [line.split(",") for line in lines[1:-1]]
     assert code == 0
-    assert capsys.readouterr().out == (f"converged after {len(lines) - 2} applications; "
-                                       f"residual {float(residuals[-1])!r}\n")
+    assert capsys.readouterr().out == (f"converged after {len(rows)} applications; "
+                                       f"residual {rows[-1][3]}\n")
     assert residuals[-1] <= 1e-10
-    diffs = [repr(float(d)) for d in diffs2] + [""]
-    assert lines[1:-1] == [f"{k + 1},{float(norms2[k])!r},{diffs[k]},{float(residuals[k])!r}"
-                           for k in range(len(norms2))]
+    assert [int(r[0]) for r in rows] == list(range(1, len(rows) + 1))
+    assert rows[-1][2] == ""
+    # the run after the first application is on cells, so its sums may
+    # differ from the kept trajectory's in the last digits
+    scale2, scale = 1e-12 * norms2[0], 1e-12 * float(np.max(np.abs(x)))
+    assert np.all(np.abs([float(r[1]) for r in rows] - norms2) <= scale2)
+    assert np.all(np.abs([float(r[2]) for r in rows[:-1]] - diffs2) <= scale2)
+    assert np.all(np.abs([float(r[3]) for r in rows] - residuals) <= scale)
     assert lines[-1] == "# limit: " + " ".join(repr(float(v)) for v in limit)
+
+
+def test_iterate_stdout_is_the_verdict_line(space_file, tmp_path, capsys):
+    pattern = r"^(converged|did not converge) after \d+ applications; residual [0-9.e+-]+$"
+    for extra, code in (([], 0), (["--max-iter", "1"], 2)):
+        assert main(["iterate", "--space", space_file, "--partitions", "rows,cols",
+                     "--x", "1,2,3,5", "--report", str(tmp_path / "run.csv"),
+                     *extra]) == code
+        out = capsys.readouterr().out
+        assert out.endswith("\n") and re.match(pattern, out[:-1])
+
+
+@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
+                                   ["--tol=-1e-3"], ["--max-iter", "0"]])
+def test_iterate_refuses_a_tolerance_or_cap_that_certifies_nothing(space_file, flags,
+                                                                   capsys):
+    code = main(["iterate", "--space", space_file, "--partitions", "rows,cols",
+                 "--x", "1,2,3,4", *flags])
+    captured = capsys.readouterr()
+    assert code == 65 and not captured.out
+    assert ("tol" if flags[0].startswith("--tol") else "max_iter") in captured.err
 
 
 def test_iterate_non_convergence_exit_code(space_file, capsys):
@@ -353,6 +381,33 @@ def test_flags_a_subcommand_does_not_read_are_usage_errors(argv, capsys):
         main(argv)
     assert exc.value.code == 64
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["sufficiency", "--partition", "sum", "--max-iter", "5"], "--max-iter"),
+    (["sufficiency", "--suite", "chain", "--partitions", "points,sum", "--max-iter", "5"],
+     "--max-iter"),
+    (["lemma", "--which", "dyadic", "--tol", "1e-3"], "--tol"),
+])
+def test_flags_a_path_does_not_read_are_usage_errors(argv, flag, coin_file, tmp_path,
+                                                     capsys):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("limit=0\n1\n0.5\n0.25\n")
+    argv = argv + (["--input", str(seq)] if argv[0] == "lemma" else ["--space", coin_file])
+    assert main(argv) == 64
+    captured = capsys.readouterr()
+    assert not captured.out and flag in captured.err
+    # the same run without the flag goes through
+    i = argv.index(flag)
+    assert main(argv[:i] + argv[i + 2:]) != 64
+    capsys.readouterr()
+
+
+def test_suites_that_read_max_iter_take_it(coin_file, capsys):
+    for suite in ("intersection", "countable"):
+        assert main(["sufficiency", "--space", coin_file, "--suite", suite,
+                     "--partitions", "sum,points", "--max-iter", "5"]) != 64
+        assert "usage error" not in capsys.readouterr().err
 
 
 def test_every_subcommand_has_help_with_exit_codes(capsys):

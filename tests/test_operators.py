@@ -17,6 +17,7 @@ from condexp import (
     dyadic_average_trajectory,
     is_measurable,
     iterate,
+    join,
     meet,
     power_difference_ledger,
     sandwich_product,
@@ -277,14 +278,34 @@ def test_iterate_does_not_stall_when_first_operator_is_identity():
     assert np.allclose(report.final, float(np.dot(w, x)), atol=1e-12)
 
 
+def test_iterate_does_not_stop_while_an_operator_still_moves_the_iterate():
+    # after the identity the step is 0 and the iterate is 0.9 tol from the
+    # limit (the mean, 0), yet averaging {0, 1} moves outcome 0 by 1.47 tol
+    tol = 1e-3
+    w = np.array([0.1, 0.45, 0.45])
+    x = np.array([0.9, -0.9, 0.7]) * tol
+    ops = [CondExpOperator(p, w) for p in (Partition.singletons(3),
+                                          Partition([[0, 1], [2]]), Partition([[0], [1, 2]]))]
+    report = iterate(ops, x, tol=tol)
+    assert report.converged and report.iterations_used > 1
+    assert all(op.ip.distinf(op.apply(report.final), report.final) <= tol for op in ops)
+    assert_matches_the_kept_trajectory(report, ops, x)
+
+
 def test_iterate_validates_tol_and_max_iter():
     t1 = CondExpOperator(P_ROWS, UNIFORM4)
-    with pytest.raises(StructuralError):
-        iterate([t1], [1, 2, 3, 4], tol=0.0)
-    with pytest.raises(StructuralError):
-        iterate([t1], [1, 2, 3, 4], max_iter=0)
+    t2 = CondExpOperator(P_COLS, UNIFORM4)
+    # tol = inf would certify any iterate, tol = nan none; a cap of 2.5 ran 3
+    for tol in (0.0, -1e-3, np.inf, np.nan, True, "1e-3", None):
+        with pytest.raises(StructuralError, match="tol must be finite and positive"):
+            iterate([t1, t2], [1, 2, 3, 4], tol=tol)
+    for max_iter in (0, -1, 2.5, 3.0, True, np.inf, "3", None):
+        with pytest.raises(StructuralError, match="max_iter must be an integer >= 1"):
+            iterate([t1, t2], [1, 2, 3, 4], max_iter=max_iter)
     with pytest.raises(StructuralError):
         iterate([], [1, 2, 3, 4])
+    assert iterate([t1, t2], [1, 2, 3, 4], tol=np.float64(1e-3), max_iter=np.int64(2)) == \
+        iterate([t1, t2], [1, 2, 3, 4], tol=1e-3, max_iter=2)
 
 
 def test_ledger_requires_at_least_one_term():
@@ -507,7 +528,69 @@ def test_product_requires_shared_measure():
 # ---------------------------------------------------------------------------
 # streaming iterate: the kept scalars against the loop that kept every iterate
 
-def test_iterate_scalars_match_the_kept_trajectory_bit_for_bit():
+def finest_join_pair(rng, n: int) -> list[Partition]:
+    """A random partition and one that numbers the outcomes within each of its
+    blocks: no two outcomes share both labels, so their join is the finest."""
+    p = random_partition(rng, n)
+    rank = np.empty(n, dtype=np.intp)
+    for block in p.blocks:
+        rank[list(block)] = rng.permutation(len(block))
+    return [p, partition_of_labels(rank)]
+
+
+def assert_matches_the_kept_trajectory(report, ops, x, schedule="alternating",
+                                       exact=False):
+    """``report`` against the loop that keeps every iterate, run for the
+    report's own number of applications: bit for bit when ``exact``, else
+    norms and steps within 1e-12 x norms2[0] and residuals and ``final``
+    within 1e-12 x max|x|."""
+    x = np.asarray(x, dtype=float)
+    trajectory, norms2, diffs2, residuals, limit = iterate_keeping_trajectory(
+        ops, x, report.iterations_used, None if schedule == "alternating" else schedule)
+    assert len(trajectory) == report.iterations_used
+    assert type(report.residual) is float
+    for got in (report.norms2, report.diffs2, report.residuals, report.final):
+        assert got.dtype == np.float64
+    assert np.array_equal(report.limit, limit)
+    final = trajectory[-1] if trajectory else x
+    if exact:
+        assert np.array_equal(report.norms2, norms2)
+        assert np.array_equal(report.diffs2, diffs2)
+        assert np.array_equal(report.residuals, residuals)
+        assert np.array_equal(report.final, final)
+    else:
+        scale2 = 1e-12 * (norms2[0] if trajectory else 0.0)
+        scale = 1e-12 * float(np.max(np.abs(x)))
+        assert (report.norms2.shape, report.diffs2.shape, report.residuals.shape) == \
+            (norms2.shape, diffs2.shape, residuals.shape)
+        assert np.all(np.abs(report.norms2 - norms2) <= scale2)
+        assert np.all(np.abs(report.diffs2 - diffs2) <= scale2)
+        assert np.all(np.abs(report.residuals - residuals) <= scale)
+        assert np.all(np.abs(report.final - final) <= scale)
+    assert report.residual == (report.residuals[-1] if trajectory else
+                               ops[0].ip.distinf(x, limit))
+
+
+def test_iterate_matches_the_kept_trajectory_bit_for_bit_when_the_join_is_finest():
+    # the cells are then the outcomes in their own order, so every cell
+    # table is the operator's own table and the run is the n-space run
+    rng = portable_rng(18)
+    for trial in range(40):
+        n = int(rng.integers(2, 65))
+        w = random_measure_with_nulls(rng, n, int(rng.integers(0, n // 2 + 1)))
+        parts = finest_join_pair(rng, n) + [random_partition(rng, n)
+                                           for _ in range(int(rng.integers(0, 2)))]
+        assert join(parts[0], parts[1]) == Partition.singletons(n)
+        ops = [CondExpOperator(p, w) for p in parts]
+        x = rng.uniform(-1, 1, n)
+        schedule = ("alternating" if trial % 3 else
+                    rng.integers(0, len(ops), int(rng.integers(0, 40))).tolist())
+        report = iterate(ops, x, schedule=schedule, tol=float(10.0 ** -rng.integers(4, 13)),
+                         max_iter=int(rng.integers(1, 400)))
+        assert_matches_the_kept_trajectory(report, ops, x, schedule, exact=True)
+
+
+def test_iterate_scalars_match_the_kept_trajectory_within_rounding():
     rng = portable_rng(19)
     for trial in range(60):
         n = int(rng.integers(2, 65))
@@ -519,16 +602,61 @@ def test_iterate_scalars_match_the_kept_trajectory_bit_for_bit():
                     rng.integers(0, len(ops), int(rng.integers(0, 40))).tolist())
         report = iterate(ops, x, schedule=schedule, tol=float(10.0 ** -rng.integers(4, 13)),
                          max_iter=int(rng.integers(1, 400)))
-        trajectory, norms2, diffs2, residuals, limit = iterate_keeping_trajectory(
-            ops, x, report.iterations_used, None if schedule == "alternating" else schedule)
-        assert len(trajectory) == report.iterations_used
-        assert np.array_equal(report.norms2, norms2)
-        assert np.array_equal(report.diffs2, diffs2)
-        assert np.array_equal(report.residuals, residuals)
-        assert np.array_equal(report.limit, limit)
-        assert np.array_equal(report.final, trajectory[-1] if trajectory else x)
-        if trajectory:
-            assert report.residual == residuals[-1]
+        assert_matches_the_kept_trajectory(report, ops, x, schedule)
+
+
+def iterate_edge_cases():
+    """(name, ops, x, schedule) for the shapes a cell table must get right."""
+    rng = portable_rng(23)
+    n = 12
+    w = random_positive_measure(rng, n)
+    x = rng.uniform(-1, 1, n) * 10.0
+    p, q, r = (random_partition(rng, n, max_blocks=4) for _ in range(3))
+    # outcomes 0..3 are null and form cell {0, 1, 2, 3} of the join of p4, q4
+    w_nulls = w.copy()
+    w_nulls[:4] = 0.0
+    w_nulls /= w_nulls.sum()
+    p4 = partition_of_labels(np.r_[0, 0, 0, 0, np.arange(n - 4) // 3 + 1])
+    q4 = partition_of_labels(np.r_[0, 0, 0, 0, (np.arange(n - 4) + 1) // 3 + 1])
+    ops = lambda parts, weights=w: [CondExpOperator(s, weights) for s in parts]
+    return [
+        ("single operator", ops([p]), x, "alternating"),
+        ("trivial and singletons", ops([Partition.trivial(n), Partition.singletons(n)]),
+         x, "alternating"),
+        ("trivial against a partition", ops([p, Partition.trivial(n)]), x, "alternating"),
+        ("singletons against a partition", ops([Partition.singletons(n), p]), x,
+         "alternating"),
+        ("a cell of null outcomes", ops([p4, q4], w_nulls), x, "alternating"),
+        ("three operators", ops([p, q, r]), x, "alternating"),
+        ("schedule with repeats", ops([p, q, r]), x, [0, 0, 1, 1, 1, 2, 0, 2, 2, 1]),
+        ("schedule of one operator", ops([p, q]), x, [1, 1, 1]),
+        ("repeated operator", ops([p, p, q]), x, [0, 1, 2, 1, 0, 2]),
+    ]
+
+
+@pytest.mark.parametrize("name, ops, x, schedule", iterate_edge_cases(),
+                         ids=[case[0] for case in iterate_edge_cases()])
+def test_iterate_edge_cases_match_the_kept_trajectory(name, ops, x, schedule):
+    for tol, max_iter in ((1e-10, 10_000), (1e-4, 3), (1e-12, 1)):
+        report = iterate(ops, x, schedule=schedule, tol=tol, max_iter=max_iter)
+        assert_matches_the_kept_trajectory(report, ops, x, schedule)
+        if report.converged:
+            assert report.residual <= tol
+
+
+def test_iterate_applies_operators_on_the_outcomes_at_most_twice(monkeypatch):
+    # the limit and the first application; every later one runs on cells
+    n = 400
+    w = np.full(n, 1.0 / n)
+    ops = [CondExpOperator(partition_of_labels(np.arange(n) // 2 // 5), w),
+           CondExpOperator(partition_of_labels((np.arange(n) + 1) // 2 // 5), w)]
+    calls = []
+    original = CondExpOperator._apply
+    monkeypatch.setattr(CondExpOperator, "_apply",
+                        lambda self, y: calls.append(1) or original(self, y))
+    report = iterate(ops, np.linspace(-1.0, 1.0, n), max_iter=500)
+    assert report.iterations_used > 100
+    assert len(calls) <= 2
 
 
 def test_iterate_memory_does_not_grow_with_applications():
