@@ -102,13 +102,14 @@ def _read_sequence_csv(path) -> tuple[np.ndarray, float | None]:
         token = line.strip()
         if not token or token.startswith("#"):
             continue
-        if token.startswith("limit="):
-            limit = float(token[len("limit="):])
-            continue
         try:
-            values.append(float(token))
+            value = float(token.removeprefix("limit="))
         except ValueError as exc:
             raise StructuralError(f"{path}:{lineno}: bad value {token!r}") from exc
+        if token.startswith("limit="):
+            limit = value
+        else:
+            values.append(value)
     if not values:
         raise StructuralError(f"{path}: no sequence values found")
     return np.array(values), limit
@@ -192,21 +193,17 @@ def _cmd_lemma(args) -> int:
     if args.which == "dyadic" and args.tol is not None:
         raise UsageError("--tol is read only by --which convex-sum")
     values, limit = _read_sequence_csv(args.input)
+    if limit is None:
+        raise StructuralError(f"{args.input}: {args.which} needs a 'limit=' header")
     if args.which == "convex-sum":
-        if limit is None:
-            raise StructuralError(f"{args.input}: convex-sum needs a 'limit=' header")
         rep = sequences.convex_sum_identity(values, limit,
                                             tol=_or_default(args.tol, DEFAULT_TOL))
         _emit(_format_identity_report(rep), args.out)
         return EX_OK if rep.passed else EX_NEGATIVE
-    # dyadic: the declared limit doubles as the anchor value a_0
-    if limit is None:
-        raise StructuralError(
-            f"{args.input}: dyadic needs a 'limit=' header (the anchor value)"
-        )
-    if args.c is not None:
-        c = args.c
-    else:
+    # dyadic: the declared limit doubles as the anchor value a_0, and c
+    # defaults to the smallest value the check accepts
+    c = args.c
+    if c is None:
         diffs = values[:-1] - values[1:]
         c = float(np.sqrt(np.dot(np.arange(1, values.shape[0], dtype=float),
                                  diffs * diffs)))

@@ -29,7 +29,7 @@ import numpy as np
 
 from .space import (MeasureFamily, OutcomeSpace, Partition, StructuralError, as_vector,
                     is_measurable, join)
-from .sufficiency import SuiteReport, check_sufficient
+from .sufficiency import SuiteReport, _BlockTable, check_sufficient
 
 
 def _as_radius(value) -> Fraction:
@@ -101,15 +101,6 @@ class SymbolicSet:
     @property
     def mentioned_radii(self) -> frozenset[Fraction]:
         raise NotImplementedError
-
-    def __or__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return union_of(self, other)
-
-    def __and__(self, other: "SymbolicSet") -> "SymbolicSet":
-        return intersection_of(self, other)
-
-    def __invert__(self) -> "SymbolicSet":
-        return complement(self)
 
 
 @dataclass(frozen=True)
@@ -253,9 +244,12 @@ class Truncation:
         return self.space.n
 
     def reflection_permutation(self, family: int) -> np.ndarray:
-        """Index permutation of the reflection map on the truncated outcomes."""
-        index = {pt: i for i, pt in enumerate(self.points)}
-        return np.array([index[pt.reflect(family)] for pt in self.points])
+        """Index permutation of the reflection map on the truncated outcomes:
+        outcome j is 4 * (radius rank) + its ``SIGN_ORDER`` position, and the
+        family-i reflection flips bit i - 1 of that position, so j maps to j ^ i."""
+        if family not in (1, 2):
+            raise StructuralError(f"family must be 1 or 2, got {family!r}")
+        return np.arange(self.n) ^ int(family)
 
 
 def finite_truncation(radii: Iterable) -> Truncation:
@@ -290,19 +284,19 @@ def verify_g_construction(radii: Iterable, f) -> SuiteReport:
 
     For family i, g = (f + f o reflection_i) / 2 must be constant on the
     partition's blocks and integrate like f against every measure on every
-    block; the sufficiency checker must agree with the construction.
+    block; the sufficiency checker must agree with the construction.  One
+    block table per partition serves both the integrals and the checker.
     """
     t = finite_truncation(radii)
     v = as_vector(f, t.n)
     details: dict = {}
     passed = True
     for fam, p in ((1, t.p1), (2, t.p2)):
-        perm = t.reflection_permutation(fam)
-        g = 0.5 * (v + v[perm])
-        worst = max(float(np.max(np.abs(np.bincount(p.block_of, weights=row * (g - v)))))
-                    for row in t.family.weights)
+        table = _BlockTable(t.family, p)
+        g = 0.5 * (v + v[t.reflection_permutation(fam)])
+        worst = float(np.max(np.abs(table._sums(t.family.weights * (g - v)))))
         constant = is_measurable(g, p)
-        agrees = check_sufficient(t.family, p).sufficient
+        agrees = table.certify().sufficient
         details[f"family{fam}_max_violation"] = worst
         details[f"family{fam}_g_measurable"] = constant
         details[f"family{fam}_checker_agrees"] = agrees

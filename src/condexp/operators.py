@@ -30,8 +30,6 @@ only sense a finite space has.
 from __future__ import annotations
 
 import itertools
-import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
@@ -43,7 +41,9 @@ from .space import (
     MeasureFamily,
     Partition,
     StructuralError,
+    _count,
     _fields_equal,
+    _tolerance,
     as_vector,
     completion,
     join,
@@ -194,8 +194,8 @@ class OperatorProduct:
     """A fixed composition of operators, applied first-to-last.
 
     ``OperatorProduct((a, b, a))`` maps x to a(b(a(x))).  The product is
-    self-adjoint whenever the factor sequence is palindromic, which is the
-    only case the summability ledger accepts.
+    self-adjoint whenever the factor sequence is palindromic, as the
+    ledger's ``sandwich_product`` is by construction.
     """
 
     def __init__(self, factors: Sequence[CondExpOperator]):
@@ -215,12 +215,6 @@ class OperatorProduct:
             y = op._apply(y)
         return y
 
-    @property
-    def is_palindromic(self) -> bool:
-        k = len(self.factors)
-        return all(self.factors[i].partition == self.factors[k - 1 - i].partition
-                   for i in range(k // 2))
-
 
 def sandwich_product(outer: CondExpOperator, inner: CondExpOperator) -> OperatorProduct:
     """The palindromic composition outer . inner . outer."""
@@ -238,10 +232,7 @@ def direct_meet_operator(ops: Sequence[CondExpOperator]) -> CondExpOperator:
     ops = _sharing_one_measure(ops)
     base = ops[0]
     nulls = np.flatnonzero(base.measure == 0)
-    completed = [completion(op.partition, nulls) for op in ops]
-    target = completed[0]
-    for p in completed[1:]:
-        target = meet(target, p)
+    target = reduce(meet, (completion(op.partition, nulls) for op in ops))
     return CondExpOperator(target, base.measure)
 
 
@@ -274,8 +265,7 @@ def verify_projection_properties(op: CondExpOperator, trials: int,
     orthogonality of range and residual.  Violations are reported, never
     raised.
     """
-    if trials < 1:
-        raise StructuralError("trials must be >= 1")
+    _count(trials, "trials")
     rng = portable_rng(seed)
     ip = op.ip
     worst = dict.fromkeys(
@@ -349,12 +339,8 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
     spread back to the outcomes once.
     """
     ops = _sharing_one_measure(ops)
-    if not (isinstance(tol, numbers.Real) and not isinstance(tol, bool)
-            and math.isfinite(tol) and tol > 0):
-        raise StructuralError(f"tol must be finite and positive, got {tol!r}")
-    if not (isinstance(max_iter, numbers.Integral) and not isinstance(max_iter, bool)
-            and max_iter >= 1):
-        raise StructuralError(f"max_iter must be an integer >= 1, got {max_iter!r}")
+    _tolerance(tol)
+    _count(max_iter, "max_iter")
     base = ops[0]
     x = as_vector(x, base.n)
 
@@ -362,8 +348,9 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
         indices = itertools.cycle(range(len(ops)))
     else:
         indices = list(schedule)
-        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-                   and 0 <= i < len(ops) for i in indices):
+        for i in indices:
+            _count(i, "a schedule entry", least=0)
+        if indices and max(indices) >= len(ops):
             raise StructuralError(
                 f"schedule entries must be indices into the {len(ops)} operators")
         indices = iter(indices)
@@ -453,10 +440,6 @@ class SumBoundReport:
     weighted_target: float
 
     @property
-    def bound_margin(self) -> float:
-        return self.bound - self.partial_sum
-
-    @property
     def weighted_residual(self) -> float:
         return abs(self.weighted_sum - self.weighted_target)
 
@@ -471,8 +454,7 @@ def power_difference_ledger(t1: CondExpOperator, t2: CondExpOperator, x,
     telescoping target: squared norm of T x minus squared norm of the
     intersection projection of x.
     """
-    if n_terms < 1:
-        raise StructuralError("n_terms must be >= 1")
+    _count(n_terms, "n_terms")
     product = sandwich_product(t1, t2)
     ip = product.ip
     x = as_vector(x, product.n)
@@ -507,8 +489,7 @@ def dyadic_average_trajectory(op, x, n_max: int) -> list[np.ndarray]:
     n costs no recomputation over level n-1.  Levels are capped at
     ``MAX_DYADIC_LEVEL`` since level n needs 2^(n+1) applications.
     """
-    if n_max < 0:
-        raise StructuralError("n_max must be >= 0")
+    _count(n_max, "n_max", least=0)
     if n_max > MAX_DYADIC_LEVEL:
         raise StructuralError(
             f"n_max = {n_max} exceeds the level cap {MAX_DYADIC_LEVEL}"

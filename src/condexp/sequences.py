@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .space import StructuralError
+from .space import StructuralError, _finite, _tolerance, as_vector
+
+CONVEXITY_TOL = 1e-12
 
 
 def _as_sequence(values, min_len: int = 1) -> np.ndarray:
@@ -21,9 +23,7 @@ def _as_sequence(values, min_len: int = 1) -> np.ndarray:
         raise StructuralError("a sequence must be one-dimensional")
     if a.shape[0] < min_len:
         raise StructuralError(f"need at least {min_len} terms, got {a.shape[0]}")
-    if not np.all(np.isfinite(a)):
-        raise StructuralError("sequence entries must be finite")
-    return a
+    return as_vector(a, a.shape[0])
 
 
 def second_difference(values) -> np.ndarray:
@@ -62,23 +62,23 @@ class IdentityReport:
     passed: bool
 
 
-def convex_sum_identity(values, limit: float, tol: float = 1e-9,
-                        convexity_tol: float = 1e-12) -> IdentityReport:
+def convex_sum_identity(values, limit: float, tol: float = 1e-9) -> IdentityReport:
     """Verify that the n-weighted second differences sum to a_1 - limit.
 
-    The input prefix must be convex (within ``convexity_tol``); the first
+    ``limit`` must be finite and ``tol`` finite and positive.  The input
+    prefix must be convex (within ``CONVEXITY_TOL``); the first
     violating index is named otherwise.  Residuals are measured against
     a_1 - limit for every truncation length, so the report shows whether
     the partial sums are actually closing in on the target.
     """
     a = _as_sequence(values, min_len=3)
-    bad = first_convexity_violation(a, convexity_tol)
-    if bad is not None:
-        raise StructuralError(
-            f"sequence is not convex: second difference at index {bad} "
-            f"is {second_difference(a)[bad]!r}"
-        )
+    limit = _finite(limit, "limit")
+    _tolerance(tol)
     d2 = second_difference(a)
+    bad = first_convexity_violation(a, CONVEXITY_TOL)
+    if bad is not None:
+        raise StructuralError(f"sequence is not convex: second difference at index {bad} "
+                              f"is {d2[bad]!r}")
     weighted = np.arange(1, d2.shape[0] + 1, dtype=float) * d2
     partial = np.cumsum(weighted)
     target = a[0] - limit
@@ -115,12 +115,12 @@ class BoundReport:
 def dyadic_bound_check(values, a0: float, c: float) -> BoundReport:
     """Check sup |a_n - a0| <= 3 sup |b_m - a0| + |c| on the given prefix.
 
-    ``b_m`` is the average of the first 2^m terms; ``c`` must dominate the
-    square root of the weighted successive-difference sum over the prefix,
-    which is verified before anything else.
+    ``b_m`` is the average of the first 2^m terms; ``a0`` and ``c`` must be
+    finite, and ``c`` must dominate the square root of the weighted
+    successive-difference sum over the prefix, checked before anything else.
     """
     a = _as_sequence(values, min_len=1)
-    a0, c = float(a0), float(c)
+    a0, c = _finite(a0, "a0"), _finite(c, "c")
     n = a.shape[0]
     diffs = a[:-1] - a[1:]
     weighted_sq = float(np.dot(np.arange(1, n, dtype=float), diffs * diffs))
@@ -129,7 +129,7 @@ def dyadic_bound_check(values, a0: float, c: float) -> BoundReport:
             f"c^2 = {c * c!r} is below the prefix sum {weighted_sq!r} "
             "of n * (a_n - a_(n+1))^2"
         )
-    levels = int(np.floor(np.log2(n))) if n >= 1 else 0
+    levels = int(np.floor(np.log2(n)))
     averages = np.array([float(np.mean(a[: 2 ** m])) for m in range(levels + 1)])
     sup_dev = float(np.max(np.abs(a - a0)))
     avg_sup = float(np.max(np.abs(averages - a0)))
@@ -140,6 +140,6 @@ def dyadic_bound_check(values, a0: float, c: float) -> BoundReport:
         bound=bound,
         slack=bound - sup_dev,
         averages=averages,
-        c=float(c),
+        c=c,
         passed=sup_dev <= bound,
     )

@@ -7,6 +7,8 @@ union become the lattice meet and join of partitions.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable
@@ -126,15 +128,40 @@ def _index_array(values, what: str) -> np.ndarray:
     """Outcome indices as a 1-d numeric array, not yet range-checked or cast.
 
     Integral numbers only: booleans, strings, fractions and inf are refused
-    rather than truncated.
+    rather than truncated.  Only a float array can hold a fraction or a
+    non-finite value, so only a float array is tested for them.
     """
     v = values if isinstance(values, np.ndarray) else list(values)
     a = np.asarray(v)
     if (a.ndim != 1 or a.dtype.kind not in "iuf"
-            or not np.all(np.isfinite(a) & (a == np.round(a)))
+            or a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a)))
             or isinstance(v, list) and not {bool, np.bool_}.isdisjoint(map(type, v))):
         raise StructuralError(f"{what} holds an outcome index that is not an integer")
     return a
+
+
+def _count(value, name: str, least: int = 1) -> None:
+    """The rule for counts and caps: an integer >= ``least``; bools refused."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and value >= least):
+        raise StructuralError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _tolerance(value, name: str = "tol") -> None:
+    """The rule for tolerances: a finite positive real; bools refused."""
+    if not (_is_real(value) and value > 0):
+        raise StructuralError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _finite(value, name: str) -> float:
+    """The rule for scalar reals: finite; bools refused.  Returns a float."""
+    if not _is_real(value):
+        raise StructuralError(f"{name} must be a finite real, got {value!r}")
+    return float(value)
 
 
 def _canonical(labels: np.ndarray) -> tuple[np.ndarray, int]:

@@ -34,6 +34,7 @@ from .space import (
     MeasureFamily,
     Partition,
     StructuralError,
+    _count,
     _fields_equal,
     as_vector,
     completion,
@@ -120,13 +121,13 @@ class _BlockTable(_BlockAverages):
         """Largest |v| over the outcomes some measure charges."""
         return float(_charged_sup(self._seen_by_any, v))
 
-    def certify(self, atol: float) -> SufficiencyCertificate:
+    def certify(self) -> SufficiencyCertificate:
         """The distributional criterion (the body of ``check_sufficient``)."""
         cond, p = self.normalized, self.partition
         lab, charged, ref = p.block_of, self.charged, self.ref
         profile = cond[ref[lab], np.arange(p.n)]
         dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
-        gammas, outcomes = np.nonzero(dev > atol)
+        gammas, outcomes = np.nonzero(dev > AGREEMENT_ATOL)
         if gammas.size:
             first = np.argmin(lab[outcomes] * self.family.m + gammas)
             b, gamma = int(lab[outcomes[first]]), int(gammas[first])
@@ -138,15 +139,15 @@ class _BlockTable(_BlockAverages):
         profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
         return SufficiencyCertificate(True, p, _profile=profile)
 
-    def serve(self, v: np.ndarray, atol: float) -> SufficiencyCertificate:
-        """One block function for ``v`` under every measure (the body of
-        ``check_sufficient_for_f``), within ``atol`` times max|v| over charged outcomes."""
+    def serve(self, v: np.ndarray) -> SufficiencyCertificate:
+        """One block function for ``v`` under every measure, within
+        ``AGREEMENT_ATOL`` times max|v| (the body of ``check_sufficient_for_f``)."""
         p, charged, ref = self.partition, self.charged, self.ref
         with np.errstate(invalid="ignore", divide="ignore"):
             means = self._sums(self.weights * v) / self.mass
         shared = means[ref, np.arange(p.k)]
         spread = np.where(charged, np.abs(means - shared), 0.0)
-        bad = np.flatnonzero(np.any(spread > atol * self.f_scale(v), axis=0))
+        bad = np.flatnonzero(np.any(spread > AGREEMENT_ATOL * self.f_scale(v), axis=0))
         if bad.size:
             b = int(bad[0])
             worst = int(np.argmax(spread[:, b]))
@@ -158,31 +159,29 @@ class _BlockTable(_BlockAverages):
         return SufficiencyCertificate(True, p, g=g)
 
 
-def check_sufficient(family: MeasureFamily, p: Partition,
-                     atol: float = AGREEMENT_ATOL) -> SufficiencyCertificate:
+def check_sufficient(family: MeasureFamily, p: Partition) -> SufficiencyCertificate:
     """Decide sufficiency of ``p`` for the family by the distributional criterion.
 
     For each block, every measure with positive mass on the block must
     induce the same conditional weight vector there; measures with zero
     mass on a block impose no constraint.  The witness is the first block
     (then the first measure) that deviates from the first measure charging
-    the block.  The decision is total: the result is always a certificate,
-    never an exception.
+    the block, by more than ``AGREEMENT_ATOL``.  The decision is total: the
+    result is always a certificate, never an exception.
     """
-    return _BlockTable(family, p).certify(atol)
+    return _BlockTable(family, p).certify()
 
 
-def check_sufficient_for_f(family: MeasureFamily, p: Partition, f,
-                           atol: float = AGREEMENT_ATOL) -> SufficiencyCertificate:
+def check_sufficient_for_f(family: MeasureFamily, p: Partition, f) -> SufficiencyCertificate:
     """Decide whether one block function can serve ``f`` under every measure.
 
     Per block there is a single unknown value; it must equal the
     conditional mean of ``f`` for every measure charging the block, within
-    ``atol`` times the largest |f| over charged outcomes (so the verdict
+    ``AGREEMENT_ATOL`` times the largest |f| over charged outcomes (so the verdict
     does not change when f is scaled).  Blocks charged by no measure get
     the value 0.
     """
-    return _BlockTable(family, p).serve(as_vector(f, p.n), atol)
+    return _BlockTable(family, p).serve(as_vector(f, p.n))
 
 
 def contains_null_field(p: Partition, nulls: frozenset[int]) -> bool:
@@ -239,8 +238,9 @@ def intersection_sufficiency_suite(family: MeasureFamily, p1: Partition,
     the shared version by at most 1e-14 times max|f| over the outcomes
     some measure charges.
     """
+    _count(max_rounds, "max_rounds")
     first, second = _BlockTable(family, p1), _BlockTable(family, p2)
-    return _pairwise(first, first.certify(AGREEMENT_ATOL), second, f, max_rounds)[0]
+    return _pairwise(first, first.certify(), second, f, max_rounds)[0]
 
 
 def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
@@ -253,7 +253,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     family, p1, p2 = first.family, first.partition, second.partition
     label, cert = "p1", first_cert
     if cert.sufficient:
-        label, cert = "p2", second.certify(AGREEMENT_ATOL)
+        label, cert = "p2", second.certify()
     if not cert.sufficient:
         return SuiteReport(name, hypothesis_met=False, passed=False, details={
             "failed_precondition": f"{label} is not sufficient",
@@ -269,20 +269,19 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
 
     ground = meet(p1, p2)
     at_meet = _BlockTable(family, ground)
-    meet_cert = at_meet.certify(AGREEMENT_ATOL)
+    meet_cert = at_meet.certify()
 
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
     shared = v
     # row gamma: the trajectory of measure gamma's own conditional expectations
     per_gamma = np.broadcast_to(v, (family.m, family.n))
     divergence = 0.0
-    rounds = 0
     scale = at_meet.f_scale(v)
     settle, tol = 1e-14 * scale, TRAJECTORY_TOL * scale
     tables = (first, second)
     for rounds in range(1, max_rounds + 1):
         table = tables[(rounds - 1) % 2]
-        served = table.serve(shared, AGREEMENT_ATOL)
+        served = table.serve(shared)
         if not served.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition":
@@ -296,7 +295,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
         if rounds >= 2 and step <= settle:
             break
 
-    direct = at_meet.serve(v, AGREEMENT_ATOL)
+    direct = at_meet.serve(v)
     limit_gap = (float(at_meet.distinf_each(shared, direct.g).max())
                  if direct.sufficient else float("inf"))
     projected = at_meet._apply(np.broadcast_to(shared, per_gamma.shape))
@@ -345,7 +344,7 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
     name = "decreasing chain sufficiency"
     for k, p in enumerate(chain):
         last = _BlockTable(family, p)
-        cert = last.certify(AGREEMENT_ATOL)
+        cert = last.certify()
         if not cert.sufficient:
             return SuiteReport(name, hypothesis_met=False, passed=False, details={
                 "failed_precondition": f"chain element {k} is not sufficient",
@@ -355,7 +354,7 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
 
     stable = chain[-1]
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
-    served = last.serve(v, AGREEMENT_ATOL)
+    served = last.serve(v)
     return SuiteReport(
         name,
         hypothesis_met=True,
@@ -379,12 +378,13 @@ def countable_intersection_suite(family: MeasureFamily,
     carrying its own full replay report.  Each step hands its meet's
     table and certificate to the next, so no partition is certified twice.
     """
+    _count(max_rounds, "max_rounds")
     parts = list(parts)
     if not parts:
         raise StructuralError("need at least one partition")
     name = "countable intersection sufficiency"
     running = _BlockTable(family, parts[0])
-    cert = running.certify(AGREEMENT_ATOL)
+    cert = running.certify()
     if not cert.sufficient:
         return SuiteReport(name, hypothesis_met=False, passed=False, details={
             "failed_precondition": "partition 0 is not sufficient",
@@ -399,7 +399,7 @@ def countable_intersection_suite(family: MeasureFamily,
             return SuiteReport(name, hypothesis_met=False, passed=False,
                                details={"failed_at_step": len(steps) - 1},
                                steps=tuple(steps))
-    g = steps[-1].g if steps else running.serve(v, AGREEMENT_ATOL).g
+    g = steps[-1].g if steps else running.serve(v).g
     return SuiteReport(
         name,
         hypothesis_met=True,

@@ -116,15 +116,37 @@ def test_iterate_stdout_is_the_verdict_line(space_file, tmp_path, capsys):
         assert out.endswith("\n") and re.match(pattern, out[:-1])
 
 
-@pytest.mark.parametrize("flags", [["--tol", "inf"], ["--tol", "nan"], ["--tol", "0"],
-                                   ["--tol=-1e-3"], ["--max-iter", "0"]])
-def test_iterate_refuses_a_tolerance_or_cap_that_certifies_nothing(space_file, flags,
-                                                                   capsys):
-    code = main(["iterate", "--space", space_file, "--partitions", "rows,cols",
-                 "--x", "1,2,3,4", *flags])
+@pytest.mark.parametrize("flags", [
+    # (argv, with a lemma file's header among it; the name the refusal gives)
+    (["iterate", "--tol", "inf"], "tol"),
+    (["iterate", "--tol", "nan"], "tol"),
+    (["iterate", "--tol", "0"], "tol"),
+    (["iterate", "--tol=-1e-3"], "tol"),
+    (["iterate", "--max-iter", "0"], "max_iter"),
+    (["sufficiency", "--suite", "intersection", "--max-iter", "0"], "max_rounds"),
+    (["sufficiency", "--suite", "countable", "--max-iter", "0"], "max_rounds"),
+    (["lemma", "--which", "convex-sum", "limit=abc"], "limit=abc"),
+    (["lemma", "--which", "dyadic", "limit=abc"], "limit=abc"),
+    (["lemma", "--which", "convex-sum", "limit=nan"], "limit"),
+    (["lemma", "--which", "dyadic", "limit=nan"], "a0"),
+    (["lemma", "--which", "dyadic", "--c", "inf"], "c must"),
+    (["lemma", "--which", "dyadic", "--c", "nan"], "c must"),
+    (["lemma", "--which", "convex-sum", "--tol", "nan"], "tol"),
+    (["lemma", "--which", "convex-sum", "--tol", "0"], "tol"),
+])
+def test_iterate_refuses_a_tolerance_or_cap_that_certifies_nothing(space_file, coin_file,
+                                                                   flags, tmp_path, capsys):
+    argv, named = flags
+    header = [a for a in argv if a.startswith("limit=")] or ["limit=0"]
+    seq = tmp_path / "seq.csv"
+    seq.write_text(header[0] + "\n1\n0.5\n0.25\n")
+    inputs = {"iterate": ["--space", space_file, "--partitions", "rows,cols", "--x", "1,2,3,4"],
+              "sufficiency": ["--space", coin_file, "--partitions", "sum,points"],
+              "lemma": ["--input", str(seq)]}
+    code = main([a for a in argv if a not in header] + inputs[argv[0]])
     captured = capsys.readouterr()
     assert code == 65 and not captured.out
-    assert ("tol" if flags[0].startswith("--tol") else "max_iter") in captured.err
+    assert named in captured.err
 
 
 def test_iterate_non_convergence_exit_code(space_file, capsys):

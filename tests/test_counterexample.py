@@ -18,6 +18,7 @@ from condexp import (
     format_set_expression,
     in_diagonal,
     intersection_of,
+    is_measurable,
     join,
     meet,
     membership,
@@ -223,6 +224,47 @@ def test_g_construction_random_f():
         assert report.passed
         assert report.details["family1_max_violation"] <= 1e-12
         assert report.details["family2_max_violation"] <= 1e-12
+
+
+def test_reflection_permutation_matches_reflecting_each_point():
+    rng = portable_rng(46)
+    many = sorted({Fraction(int(a), int(b)) for a, b in rng.integers(1, 50, (80, 2))})[:36]
+    assert len(many) == 36
+    for radii in ([1], [2, 1], ["1/2", 3, "5/2"], many):
+        t = finite_truncation(radii)
+        index = {pt: i for i, pt in enumerate(t.points)}
+        for family in (1, 2):
+            expected = [index[pt.reflect(family)] for pt in t.points]
+            assert t.reflection_permutation(family).tolist() == expected
+    with pytest.raises(StructuralError):
+        finite_truncation([1]).reflection_permutation(3)
+
+
+def g_construction_by_rows(radii, f) -> dict:
+    """The averaging construction's details from points reflected one by one,
+    one bincount per measure row and a fresh sufficiency check per partition."""
+    t = finite_truncation(radii)
+    index = {pt: i for i, pt in enumerate(t.points)}
+    details = {}
+    for fam, p in ((1, t.p1), (2, t.p2)):
+        g = 0.5 * (f + f[[index[pt.reflect(fam)] for pt in t.points]])
+        details[f"family{fam}_max_violation"] = max(
+            float(np.max(np.abs(np.bincount(p.block_of, weights=row * (g - f)))))
+            for row in t.family.weights)
+        details[f"family{fam}_g_measurable"] = is_measurable(g, p)
+        details[f"family{fam}_checker_agrees"] = check_sufficient(t.family, p).sufficient
+    return details
+
+
+def test_g_construction_details_match_the_per_row_loop_bit_for_bit():
+    rng = portable_rng(47)
+    for radii in ([1], [1, 2, 3], ["1/2", 3, "5/2", 7]):
+        n = 4 * len(radii)
+        for f in (rng.uniform(-5, 5, n), rng.normal(0, 1e6, n), rng.integers(-3, 4, n)):
+            details = verify_g_construction(radii, f).details
+            expected = g_construction_by_rows(radii, np.asarray(f, dtype=float))
+            assert details == expected
+            assert [type(v) for v in details.values()] == [type(v) for v in expected.values()]
 
 
 def test_join_suite_states_finite_limitation():

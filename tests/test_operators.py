@@ -13,10 +13,12 @@ from condexp import (
     StructuralError,
     WeightedInnerProduct,
     completion,
+    countable_intersection_suite,
     direct_meet_operator,
     dyadic_average_trajectory,
     is_measurable,
     iterate,
+    intersection_sufficiency_suite,
     join,
     meet,
     power_difference_ledger,
@@ -313,6 +315,29 @@ def test_ledger_requires_at_least_one_term():
     t2 = CondExpOperator(P_COLS, UNIFORM4)
     with pytest.raises(StructuralError):
         power_difference_ledger(t1, t2, [1, 2, 3, 4], n_terms=0)
+
+
+def test_every_count_refuses_what_is_not_a_count():
+    t1 = CondExpOperator(P_ROWS, UNIFORM4)
+    t2 = CondExpOperator(P_COLS, UNIFORM4)
+    fam, x = MeasureFamily.single(UNIFORM4), [1, 2, 3, 4]
+    counts = [  # (name, call taking the count, the largest refused integer)
+        ("max_iter", lambda c: iterate([t1, t2], x, max_iter=c), 0),
+        ("max_rounds", lambda c: intersection_sufficiency_suite(
+            fam, P_ROWS, P_COLS, max_rounds=c), 0),
+        ("max_rounds", lambda c: countable_intersection_suite(
+            fam, [P_ROWS, P_COLS], max_rounds=c), 0),
+        ("n_terms", lambda c: power_difference_ledger(t1, t2, x, c), 0),
+        ("trials", lambda c: verify_projection_properties(t1, c), 0),
+        ("n_max", lambda c: dyadic_average_trajectory(t1, x, c), -1),
+    ]
+    for name, call, below in counts:
+        for bad in (below, True, 2.5, "3", None):
+            with pytest.raises(StructuralError, match=f"{name} must be an integer >= {below + 1}"):
+                call(bad)
+        call(below + 1)
+        call(np.int64(below + 1))
+    assert verify_projection_properties(t1, np.int8(2)).trials == 2
 
 
 def test_iterate_max_iter_reports_not_converged():

@@ -173,3 +173,19 @@ def test_dyadic_bound_operator_trajectory():
         c = float(np.sqrt(np.dot(np.arange(1, a.shape[0], dtype=float), diffs ** 2)))
         report = dyadic_bound_check(a, a0=limit, c=c)
         assert report.passed
+
+
+def test_scalar_arguments_must_be_finite_and_tolerances_positive():
+    a = 1.0 / np.arange(1, 33)
+    for bad in (np.nan, np.inf, -np.inf, True, "0", None):
+        with pytest.raises(StructuralError, match="limit must be a finite real"):
+            convex_sum_identity(a, limit=bad)
+        with pytest.raises(StructuralError, match="a0 must be a finite real"):
+            dyadic_bound_check(a, a0=bad, c=10.0)
+        with pytest.raises(StructuralError, match="c must be a finite real"):
+            dyadic_bound_check(a, a0=0.0, c=bad)
+    for bad in (0.0, -1e-9, np.nan, np.inf, True, "1e-9", None):
+        with pytest.raises(StructuralError, match="tol must be finite and positive"):
+            convex_sum_identity(a, limit=0.0, tol=bad)
+    assert convex_sum_identity(a, limit=np.float32(0), tol=np.float64(1e-9)).final_residual \
+        == convex_sum_identity(a, limit=0, tol=1e-9).final_residual

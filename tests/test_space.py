@@ -61,18 +61,24 @@ def test_partition_rejects_bad_blocks(blocks):
 
 
 @pytest.mark.parametrize("blocks", [
-    [[0.5, 1]],              # fractional: would truncate to 0
-    [["a", 1]],              # not a number
-    [[0, float("inf")]],     # not finite
-    [[0, float("nan")]],
-    [[True, 1]],             # booleans are not indices
-    [[np.True_, 1]],
-    [np.array([True, False])],
-    [[0, 10 ** 30]],         # beyond any index type
-    [[[0], [1]]],            # nested one level too deep
+    # each malformed block follows a well-formed one, and would complete a
+    # partition if it were truncated or coerced
+    [[2], [0.5, 1]],                  # fractional: would truncate to 0
+    [[2], ["a", 1]],                  # not a number
+    [[1], [0, float("inf")]],         # not finite
+    [[1], [0, float("nan")]],
+    [[2], [True, 0]],                 # booleans are not indices
+    [[2], [np.True_, 0]],
+    [[2], np.array([True, False])],
+    [[1], [0, 10 ** 30]],             # beyond any index type
+    [[2], [[0], [1]]],                # nested one level too deep
+    # float arrays among integer arrays
+    [np.array([2]), np.array([0.5, 1.0])],
+    [np.array([1], dtype=np.int32), np.array([0.0, np.inf])],
+    [np.array([1], dtype=np.uint8), np.array([0.0, np.nan]), np.array([2])],
 ])
 def test_partition_rejects_non_integer_indices(blocks):
-    with pytest.raises(StructuralError):
+    with pytest.raises(StructuralError, match="not an integer"):
         Partition(blocks)
 
 
@@ -81,6 +87,36 @@ def test_partition_accepts_integral_numbers_of_any_type():
     assert Partition([[0.0, 1.0], [2]]) == expected
     assert Partition([np.array([1, 0], dtype=np.uint8), (2,)]) == expected
     assert Partition([range(2), {2}]) == expected
+
+
+INDEX_DTYPES = [np.int8, np.int16, np.int32, np.int64,
+                np.uint8, np.uint16, np.uint32, np.uint64]
+BLOCK_CONTAINERS = [lambda idx, dtype=dtype: idx.astype(dtype) for dtype in INDEX_DTYPES] + [
+    lambda idx: idx.tolist(),           # Python ints
+    lambda idx: list(idx),              # numpy integer scalars
+    lambda idx: tuple(idx.tolist()),
+    lambda idx: set(idx.tolist()),
+    lambda idx: (range(idx.min(), idx.max() + 1) if np.ptp(idx) == idx.size - 1
+                 else idx.tolist()),
+]
+
+
+def test_partition_from_blocks_of_every_container_equals_the_label_partition():
+    # integer arrays skip the fraction test; every container and width,
+    # alone or mixed, must land on the partition of the labels it came from
+    rng = portable_rng(48)
+    for trial in range(80):
+        n = int(rng.integers(1, 120))
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        if trial % 2:                   # contiguous blocks, so range blocks occur
+            labels = np.sort(labels)
+        same = BLOCK_CONTAINERS[trial % len(BLOCK_CONTAINERS)] if trial < 40 else None
+        blocks = []
+        for b in rng.permutation(np.unique(labels)):
+            idx = rng.permutation(np.flatnonzero(labels == b))
+            make = same or BLOCK_CONTAINERS[int(rng.integers(0, len(BLOCK_CONTAINERS)))]
+            blocks.append(make(idx))
+        assert Partition(blocks) == Partition._from_labels(labels)
 
 
 def test_partition_is_one_canonical_label_array():

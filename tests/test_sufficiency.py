@@ -311,9 +311,9 @@ def test_countable_suite_certifies_each_partition_once(monkeypatch):
     calls = []
     certify = sufficiency._BlockTable.certify
 
-    def counting(table, atol):
+    def counting(table):
         calls.append(table.partition)
-        return certify(table, atol)
+        return certify(table)
 
     monkeypatch.setattr(sufficiency._BlockTable, "certify", counting)
     rng = portable_rng(45)
