@@ -76,26 +76,30 @@ def _or_default(value, default):
 
 
 def _parse_vector(text: str) -> np.ndarray:
-    try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
+    try:    # numpy parses each token with float(): same bits, same error text
+        return np.array(text.replace(",", " ").split(), dtype=float)
     except ValueError as exc:
         raise StructuralError(f"bad vector {text!r}: {exc}") from exc
 
 
-def _read_vector_file(path) -> np.ndarray:
+def _format_vector(v: np.ndarray) -> str:
+    """The entries' ``repr``s, space-joined: one ``repr`` per distinct bit pattern
+    (``np.unique`` on the floats would merge -0.0, which ``repr`` spells apart)."""
+    bits, inverse = np.unique(np.asarray(v, dtype=float).view(np.int64), return_inverse=True)
+    texts = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    return " ".join(texts[inverse].tolist())
+
+
+def _read_text(path) -> str:
     try:
-        text = Path(path).read_text()
+        return Path(path).read_text()
     except OSError as exc:
         raise StructuralError(f"cannot read {path}: {exc}") from exc
-    return _parse_vector(text)
 
 
 def _read_sequence_csv(path) -> tuple[np.ndarray, float | None]:
     """One value per line; an optional ``limit=L`` header declares the limit."""
-    try:
-        lines = Path(path).read_text().splitlines()
-    except OSError as exc:
-        raise StructuralError(f"cannot read {path}: {exc}") from exc
+    lines = _read_text(path).splitlines()
     limit = None
     values = []
     for lineno, line in enumerate(lines, start=1):
@@ -132,7 +136,7 @@ def _cmd_iterate(args) -> int:
     if args.x is not None:
         x = _parse_vector(args.x)
     elif args.x_file is not None:
-        x = _read_vector_file(args.x_file)
+        x = _parse_vector(_read_text(args.x_file))
     else:
         raise UsageError("one of --x or --x-file is required")
     report = iterate(ops, x, tol=_or_default(args.tol, DEFAULT_TOL),
@@ -143,7 +147,7 @@ def _cmd_iterate(args) -> int:
     for k, (norm2, diff, residual) in enumerate(
             zip(report.norms2.tolist(), diffs, report.residuals.tolist())):
         lines.append(f"{k + 1},{norm2!r},{diff},{residual!r}")
-    lines.append("# limit: " + " ".join(map(repr, report.limit.tolist())))
+    lines.append("# limit: " + _format_vector(report.limit))
     csv_text = "\n".join(lines) + "\n"
     if args.report:
         Path(args.report).write_text(csv_text)
@@ -200,14 +204,8 @@ def _cmd_lemma(args) -> int:
                                             tol=_or_default(args.tol, DEFAULT_TOL))
         _emit(_format_identity_report(rep), args.out)
         return EX_OK if rep.passed else EX_NEGATIVE
-    # dyadic: the declared limit doubles as the anchor value a_0, and c
-    # defaults to the smallest value the check accepts
-    c = args.c
-    if c is None:
-        diffs = values[:-1] - values[1:]
-        c = float(np.sqrt(np.dot(np.arange(1, values.shape[0], dtype=float),
-                                 diffs * diffs)))
-    rep = sequences.dyadic_bound_check(values, limit, c)
+    # dyadic: the declared limit doubles as the anchor value a_0
+    rep = sequences.dyadic_bound_check(values, limit, args.c)
     _emit(_format_bound_report(rep), args.out)
     return EX_OK if rep.passed else EX_NEGATIVE
 
@@ -254,7 +252,7 @@ def _cmd_sufficiency(args) -> int:
     if cert.sufficient:
         lines = [f"sufficient: partition {args.partition!r} serves every measure"]
         if cert.g is not None:
-            lines.append("g = " + " ".join(repr(float(v)) for v in cert.g))
+            lines.append("g = " + _format_vector(cert.g))
         _emit("\n".join(lines) + "\n", args.out)
         return EX_OK
     w = cert.witness

@@ -21,6 +21,7 @@ lives in the refuter instead.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -40,10 +41,10 @@ def _as_radius(value) -> Fraction:
 
 
 def _as_sign(value) -> int:
-    s = int(value)
-    if s not in (-1, 1):
+    if value not in (-1, 1) or type(value) is not int and (    # exact ints skip the ABC test
+            isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise StructuralError(f"sign must be +1 or -1, got {value!r}")
-    return s
+    return int(value)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,7 @@ statement can be tested verbatim.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,19 +113,22 @@ class BoundReport:
     passed: bool
 
 
-def dyadic_bound_check(values, a0: float, c: float) -> BoundReport:
+def dyadic_bound_check(values, a0: float, c: float | None = None) -> BoundReport:
     """Check sup |a_n - a0| <= 3 sup |b_m - a0| + |c| on the given prefix.
 
     ``b_m`` is the average of the first 2^m terms; ``a0`` and ``c`` must be
     finite, and ``c`` must dominate the square root of the weighted
     successive-difference sum over the prefix, checked before anything else.
+    ``c`` defaults to that square root, the smallest value the check accepts.
     """
     a = _as_sequence(values, min_len=1)
-    a0, c = _finite(a0, "a0"), _finite(c, "c")
+    a0 = _finite(a0, "a0")
     n = a.shape[0]
-    diffs = a[:-1] - a[1:]
-    weighted_sq = float(np.dot(np.arange(1, n, dtype=float), diffs * diffs))
-    if c * c < weighted_sq - 1e-12 * max(1.0, weighted_sq):
+    with np.errstate(over="ignore"):    # an overflowed sum is inf, which no c dominates
+        diffs = a[:-1] - a[1:]
+        weighted_sq = float(np.dot(np.arange(1, n, dtype=float), diffs * diffs))
+    c = _finite(math.sqrt(weighted_sq) if c is None else c, "c")
+    if not c * c >= weighted_sq - 1e-12 * max(1.0, weighted_sq):
         raise StructuralError(
             f"c^2 = {c * c!r} is below the prefix sum {weighted_sq!r} "
             "of n * (a_n - a_(n+1))^2"

@@ -72,6 +72,7 @@ class OutcomeSpace:
 
     @classmethod
     def indexed(cls, n: int) -> "OutcomeSpace":
+        _count(n, "n")
         return cls(str(i) for i in range(n))
 
 
@@ -117,6 +118,7 @@ class MeasureFamily:
 
     @classmethod
     def uniform(cls, n: int) -> "MeasureFamily":
+        _count(n, "n")
         return cls(np.full((1, n), 1.0 / n))
 
     @classmethod
@@ -242,7 +244,9 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """Sorted index tuples, ordered by least element."""
-        members = np.argsort(self.block_of, kind="stable").tolist()
+        # labels fit the narrowest unsigned dtype; up to 16 bits a stable sort is a radix sort
+        narrow = self.block_of.astype(np.min_scalar_type(self.k - 1))
+        members = np.argsort(narrow, kind="stable").tolist()
         ends = np.cumsum(np.bincount(self.block_of)).tolist()
         return tuple(tuple(members[a:b]) for a, b in zip([0] + ends, ends))
 
@@ -256,10 +260,12 @@ class Partition:
 
     @classmethod
     def singletons(cls, n: int) -> "Partition":
+        _count(n, "n")
         return cls._from_labels(np.arange(n))
 
     @classmethod
     def trivial(cls, n: int) -> "Partition":
+        _count(n, "n")
         return cls._from_labels(np.zeros(n, dtype=np.intp))
 
 

@@ -10,8 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from condexp.cli import main
-from condexp import CondExpOperator, load_space_file
+from condexp.cli import _format_vector, _parse_vector, main
+from condexp import CondExpOperator, StructuralError, check_sufficient_for_f, load_space_file
 from condexp.rng import portable_rng
 
 from helpers import iterate_keeping_trajectory
@@ -104,6 +104,36 @@ def test_iterate_chain_csv_matches_the_kept_trajectory(tmp_path, capsys):
     assert np.all(np.abs([float(r[2]) for r in rows[:-1]] - diffs2) <= scale2)
     assert np.all(np.abs([float(r[3]) for r in rows] - residuals) <= scale)
     assert lines[-1] == "# limit: " + " ".join(repr(float(v)) for v in limit)
+
+
+def test_format_vector_is_each_entry_repr_space_joined():
+    rng = portable_rng(62)
+    tiny = np.nextafter(0.0, 1.0)
+    vectors = [
+        np.array([-0.0, 0.0, 0.0, -0.0, 1.5]),
+        np.array([np.nan, -np.nan, np.inf, -np.inf, 0.0, np.nan]),
+        np.array([tiny, -tiny, 1e-310, 2.2250738585072014e-308, tiny]),
+        np.full(7, 0.1),
+        np.array([3.0]),
+        np.array([]),
+        rng.standard_normal(500) * 10.0 ** rng.integers(-300, 300, 500),
+        rng.integers(0, 3, 1000) / 7.0,
+    ]
+    for v in vectors:
+        assert _format_vector(v) == " ".join(map(repr, v.tolist()))
+
+
+def test_parse_vector_is_per_token_float():
+    rng = portable_rng(63)
+    values = rng.standard_normal(300) * 10.0 ** rng.integers(-300, 300, 300)
+    tokens = [repr(v) for v in values.tolist()] + ["-0", "1e-320", "inf", "-inf", "+5", "1_0"]
+    text = ", ".join(tokens[:100]) + " " + " ".join(tokens[100:])
+    expected = np.array([float(tok) for tok in tokens])
+    assert np.array_equal(_parse_vector(text).view(np.int64), expected.view(np.int64))
+    assert _parse_vector("").shape == (0,)
+    with pytest.raises(StructuralError) as err:
+        _parse_vector("1,abc")
+    assert str(err.value) == "bad vector '1,abc': could not convert string to float: 'abc'"
 
 
 def test_iterate_stdout_is_the_verdict_line(space_file, tmp_path, capsys):
@@ -231,6 +261,16 @@ def test_lemma_dyadic_c_too_small(tmp_path, capsys):
     assert "prefix sum" in capsys.readouterr().err
 
 
+def test_lemma_dyadic_overflowing_prefix_is_refused_without_warnings(tmp_path, capsys):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("limit=0\n" + "\n".join(["1e200", "-1e200"] * 4))
+    code = main(["lemma", "--which", "dyadic", "--input", str(seq)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == "condexp: input error: c must be a finite real, got inf\n"
+
+
 def test_lemma_bad_file(tmp_path, capsys):
     seq = tmp_path / "seq.csv"
     seq.write_text("limit=0\nnot-a-number\n")
@@ -261,6 +301,16 @@ def test_sufficiency_for_f_prints_g(coin_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "g =" in out and "0.5" in out
+
+
+def test_sufficiency_for_f_g_line_is_each_entry_repr(coin_file, capsys):
+    f = np.array([0.1, -0.0, 1 / 3, 2.5e-310])
+    code = main(["sufficiency", "--space", coin_file, "--partition", "sum",
+                 "--f=" + ",".join(map(repr, f.tolist()))])
+    bundle = load_space_file(coin_file)
+    g = check_sufficient_for_f(bundle.family, bundle.partition("sum"), f).g
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[1] == "g = " + " ".join(map(repr, g.tolist()))
 
 
 def test_sufficiency_suite_intersection(coin_file, capsys):

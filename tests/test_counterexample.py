@@ -78,6 +78,18 @@ def test_point_validation():
         ReflectionPoint(Fraction(1), 2, 1)
 
 
+def test_signs_are_integers_plus_or_minus_one_never_truncated():
+    for bad in (1.5, -1.5, 0.5, True, False, "1", Fraction(1), None):
+        with pytest.raises(StructuralError, match="sign must be"):
+            ReflectionPoint(Fraction(1), bad, 1)
+        with pytest.raises(StructuralError, match="sign must be"):
+            ReflectionPoint(Fraction(1), 1, bad)
+        with pytest.raises(StructuralError, match="sign must be"):
+            GeneratorAtom(1, Fraction(1), bad)
+    pt = ReflectionPoint(Fraction(1), np.int64(-1), 1)
+    assert pt == ReflectionPoint(Fraction(1), -1, 1) and type(pt.s1) is int
+
+
 def test_diagonal_predicate():
     assert in_diagonal(ReflectionPoint(Fraction(3), 1, 1))
     assert in_diagonal(ReflectionPoint(Fraction(3), -1, -1))

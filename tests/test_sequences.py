@@ -152,6 +152,20 @@ def test_dyadic_bound_reciprocals():
     assert report.slack >= 0.0
 
 
+def test_dyadic_bound_default_c_is_the_smallest_accepted():
+    a = 1.0 / np.arange(1.0, 301.0)
+    diffs = a[:-1] - a[1:]
+    c = float(np.sqrt(np.dot(np.arange(1, 300, dtype=float), diffs * diffs)))
+    default, given = dyadic_bound_check(a, a0=0.0), dyadic_bound_check(a, a0=0.0, c=c)
+    assert (default.c, default.slack, default.passed) == (given.c, given.slack, given.passed)
+    # a prefix whose weighted sum overflows has no finite c, and says so without warnings
+    huge = np.array([1e200, -1e200, 1e200])
+    with pytest.raises(StructuralError, match="c must be a finite real, got inf"):
+        dyadic_bound_check(huge, a0=0.0)
+    with pytest.raises(StructuralError, match="below the prefix sum inf"):
+        dyadic_bound_check(huge, a0=0.0, c=1e100)
+
+
 def test_dyadic_bound_rejects_small_c():
     n = np.arange(1.0, 101.0)
     with pytest.raises(StructuralError, match="below the prefix sum"):
@@ -182,8 +196,9 @@ def test_scalar_arguments_must_be_finite_and_tolerances_positive():
             convex_sum_identity(a, limit=bad)
         with pytest.raises(StructuralError, match="a0 must be a finite real"):
             dyadic_bound_check(a, a0=bad, c=10.0)
-        with pytest.raises(StructuralError, match="c must be a finite real"):
-            dyadic_bound_check(a, a0=0.0, c=bad)
+        if bad is not None:     # c=None asks for the default c
+            with pytest.raises(StructuralError, match="c must be a finite real"):
+                dyadic_bound_check(a, a0=0.0, c=bad)
     for bad in (0.0, -1e-9, np.nan, np.inf, True, "1e-9", None):
         with pytest.raises(StructuralError, match="tol must be finite and positive"):
             convex_sum_identity(a, limit=0.0, tol=bad)

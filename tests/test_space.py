@@ -367,6 +367,29 @@ def test_completion_rejects_non_integer_nulls():
     assert completion(p, np.array([2])) == Partition([[0, 1], [2], [3]])
 
 
+@pytest.mark.parametrize("k", [1, 256, 257, 70_000])
+def test_blocks_match_a_per_block_oracle_across_label_dtypes(k):
+    # k = 256 and 257 straddle the uint8/uint16 label sort, 70,000 the uint16/uint32 one
+    rng = portable_rng(45)
+    labels = rng.permutation(np.concatenate([np.arange(k), rng.integers(0, k, k + 5)]))
+    p = partition_of_labels(labels)
+    groups = {}
+    for i, label in enumerate(p.block_of.tolist()):
+        groups.setdefault(label, []).append(i)
+    assert p.k == k
+    assert p.blocks == tuple(tuple(groups[j]) for j in range(k))
+
+
+def test_size_arguments_follow_the_count_rule():
+    makers = (Partition.singletons, Partition.trivial, MeasureFamily.uniform,
+              OutcomeSpace.indexed)
+    for make in makers:
+        for bad in (0, -1, 2.5, True, "3", None):
+            with pytest.raises(StructuralError, match="n must be an integer >= 1"):
+                make(bad)
+        assert make(np.int64(3)).n == 3
+
+
 def test_refines_against_block_oracle():
     rng = portable_rng(44)
     for _ in range(40):
