@@ -166,8 +166,14 @@ def _cmd_iterate(args) -> int:
 # ---------------------------------------------------------------------------
 # lemma
 
+def _format_rows(rows) -> str:
+    """(label, value) rows, each value one column past the longest label."""
+    width = max(len(k) for k, _ in rows)
+    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+
+
 def _format_identity_report(rep: sequences.IdentityReport) -> str:
-    rows = [
+    return _format_rows([
         ("terms summed", str(rep.partial_sums.shape[0])),
         ("final partial sum", repr(float(rep.partial_sums[-1]))),
         ("final residual", repr(rep.final_residual)),
@@ -175,22 +181,18 @@ def _format_identity_report(rep: sequences.IdentityReport) -> str:
         ("truncation allowance", repr(rep.allowance)),
         ("residual decreasing", str(rep.residual_decreasing)),
         ("verdict", "pass" if rep.passed else "FAIL"),
-    ]
-    width = max(len(k) for k, _ in rows)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+    ])
 
 
 def _format_bound_report(rep: sequences.BoundReport) -> str:
-    rows = [
+    return _format_rows([
         ("sup deviation", repr(rep.sup_deviation)),
         ("dyadic averages sup", repr(rep.averages_sup)),
         ("bound 3*sup + |c|", repr(rep.bound)),
         ("slack", repr(rep.slack)),
         ("c", repr(rep.c)),
         ("verdict", "pass" if rep.passed else "FAIL"),
-    ]
-    width = max(len(k) for k, _ in rows)
-    return "".join(f"{k.ljust(width)}  {v}\n" for k, v in rows)
+    ])
 
 
 def _cmd_lemma(args) -> int:

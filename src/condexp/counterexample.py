@@ -134,27 +134,24 @@ class GeneratorAtom(SymbolicSet):
 
 
 @dataclass(frozen=True)
-class SetUnion(SymbolicSet):
+class _SetCombination(SymbolicSet):
+    """A union or intersection of ``parts`` (equality compares the class too)."""
+
     parts: tuple[SymbolicSet, ...]
 
+    @property
+    def mentioned_radii(self) -> frozenset[Fraction]:
+        return frozenset().union(*(p.mentioned_radii for p in self.parts))
+
+
+class SetUnion(_SetCombination):
     def contains(self, pt: ReflectionPoint) -> bool:
         return any(p.contains(pt) for p in self.parts)
 
-    @property
-    def mentioned_radii(self) -> frozenset[Fraction]:
-        return frozenset().union(*(p.mentioned_radii for p in self.parts))
 
-
-@dataclass(frozen=True)
-class SetIntersection(SymbolicSet):
-    parts: tuple[SymbolicSet, ...]
-
+class SetIntersection(_SetCombination):
     def contains(self, pt: ReflectionPoint) -> bool:
         return all(p.contains(pt) for p in self.parts)
-
-    @property
-    def mentioned_radii(self) -> frozenset[Fraction]:
-        return frozenset().union(*(p.mentioned_radii for p in self.parts))
 
 
 @dataclass(frozen=True)

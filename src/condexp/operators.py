@@ -11,9 +11,9 @@ an application costs two linear passes (block sums, then gather).
 application on the n outcomes, builds the cells (the blocks of the join
 of the partitions), and runs every later application on one value per
 cell under the cell masses, at O(cells + sum of the block counts) each.
-When the join is the finest partition the cells are the outcomes in their
-own order and the run is bit for bit the n-space run; otherwise its sums
-are taken over cells and differ from it in the last digits.
+When the join is the finest partition the cells are the outcomes, and the
+run uses the operators' own tables and is bit for bit the n-space run;
+otherwise its sums are taken over cells and differ in the last digits.
 
 One private table, ``_BlockAverages``, averages one weight row or an
 m x n stack: ``CondExpOperator`` is its one-row view and the sufficiency
@@ -336,7 +336,9 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
     constant on the cells of the join of the partitions, and so is the
     limit on the outcomes the measure charges, so the rest of the run
     averages one value per cell under the cell masses; ``final`` is
-    spread back to the outcomes once.
+    spread back to the outcomes once.  When the join is the finest
+    partition the cells are the outcomes, and the run alternates on the
+    operators' own tables, the measure and ``limit`` themselves.
     """
     ops = _sharing_one_measure(ops)
     _tolerance(tol)
@@ -365,21 +367,25 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
             residual=ip._norminf(x - limit), stop_reason="schedule exhausted")
     cur = ops[first]._apply(x)
 
-    # Cells: the blocks of the join.  They are numbered by least outcome, so
-    # the running maximum of the labels steps up by one exactly at each
-    # cell's least outcome.  Each operator becomes a table over cells
-    # weighted by the cell masses; when the join is the finest partition
-    # these are the operators' own tables.
-    cell_of = reduce(join, (op.partition for op in ops)).block_of
-    least = np.flatnonzero(np.diff(np.maximum.accumulate(cell_of), prepend=-1))
-    mass = np.bincount(cell_of, weights=base.measure)
-    seen = mass > 0
-    tables = [_BlockAverages(Partition._from_labels(op.partition.block_of[least]), mass)
-              for op in ops]
-    # the limit is constant on the charged outcomes of a cell; the value of
-    # a zero-mass cell is never read, since every sup runs over ``seen``
-    cell_limit = np.zeros(mass.size)
-    cell_limit[cell_of[ip._seen]] = limit[ip._seen]
+    # Cells: the blocks of the join.  On a finest join they are the outcomes
+    # in order, and a slice stands for both maps between outcomes and cells.
+    cells = reduce(join, (op.partition for op in ops))
+    if cells.k == base.n:
+        cell_of = least = slice(None)
+        mass, seen, tables, cell_limit = base.measure, ip._seen, ops, limit
+    else:
+        # cells are numbered by least outcome, so the running maximum of the
+        # labels steps up by one exactly at each cell's least outcome
+        cell_of = cells.block_of
+        least = np.flatnonzero(np.diff(np.maximum.accumulate(cell_of), prepend=-1))
+        mass = np.bincount(cell_of, weights=base.measure)
+        seen = mass > 0
+        tables = [_BlockAverages(Partition._from_labels(op.partition.block_of[least]), mass)
+                  for op in ops]
+        # the limit is constant on the charged outcomes of a cell; the value
+        # of a zero-mass cell is never read, since every sup runs over ``seen``
+        cell_limit = np.zeros(mass.size)
+        cell_limit[cell_of[ip._seen]] = limit[ip._seen]
 
     norms2 = [ip._norm2_sq(cur)]
     diffs2: list[float] = []

@@ -120,6 +120,7 @@ def dyadic_bound_check(values, a0: float, c: float | None = None) -> BoundReport
     finite, and ``c`` must dominate the square root of the weighted
     successive-difference sum over the prefix, checked before anything else.
     ``c`` defaults to that square root, the smallest value the check accepts.
+    An average, deviation or bound that overflows is refused: inf checks nothing.
     """
     a = _as_sequence(values, min_len=1)
     a0 = _finite(a0, "a0")
@@ -134,10 +135,11 @@ def dyadic_bound_check(values, a0: float, c: float | None = None) -> BoundReport
             "of n * (a_n - a_(n+1))^2"
         )
     levels = int(np.floor(np.log2(n)))
-    averages = np.array([float(np.mean(a[: 2 ** m])) for m in range(levels + 1)])
-    sup_dev = float(np.max(np.abs(a - a0)))
-    avg_sup = float(np.max(np.abs(averages - a0)))
-    bound = 3.0 * avg_sup + abs(c)
+    with np.errstate(over="ignore", invalid="ignore"):    # inf or nan, refused below
+        averages = np.array([float(np.mean(a[: 2 ** m])) for m in range(levels + 1)])
+        sup_dev = _finite(float(np.max(np.abs(a - a0))), "sup |a_n - a0|")
+        avg_sup = float(np.max(np.abs(averages - a0)))
+    bound = _finite(3.0 * avg_sup + abs(c), "the bound 3 sup |b_m - a0| + |c|")
     return BoundReport(
         sup_deviation=sup_dev,
         averages_sup=avg_sup,

@@ -13,10 +13,10 @@ once as a shared version and once per measure, must coincide wherever
 each measure can see.  Every check and every suite round runs on one
 table per (family, partition) pair: the m-row view of the block-average
 table whose one-row view is ``CondExpOperator``.  It computes the block
-masses once, serves a test function, averages all m rows of an m x n
-stack in one pass and measures each measure's sup distance.  A suite
-builds its tables once, not once per round, and each per-measure row is
-the operator's own output by construction: both run the same kernel.
+masses once, serves a test function and averages all m rows of an m x n
+stack in one pass.  A suite builds its tables once; a round compares
+block values, on which both versions are constant, and each per-measure
+row is the operator's own output by construction: one kernel runs both.
 Every tolerance and the suites' stop threshold scale with max|f|, so no
 verdict changes when f is scaled.
 """
@@ -139,24 +139,31 @@ class _BlockTable(_BlockAverages):
         profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
         return SufficiencyCertificate(True, p, _profile=profile)
 
+    def _shared_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per block, the first charging measure's mean of ``v`` (0 where none
+        charges), the m x k spread of the charging measures' means about it, and
+        the blocks where that exceeds ``AGREEMENT_ATOL`` times max|v|."""
+        charged, ref = self.charged, self.ref
+        with np.errstate(invalid="ignore", divide="ignore"):
+            means = self._sums(self.weights * v) / self.mass
+        shared = means[ref, np.arange(self.partition.k)]
+        spread = np.where(charged, np.abs(means - shared), 0.0)
+        bad = np.flatnonzero(np.any(spread > AGREEMENT_ATOL * self.f_scale(v), axis=0))
+        return np.where(charged.any(axis=0), shared, 0.0), spread, bad
+
     def serve(self, v: np.ndarray) -> SufficiencyCertificate:
         """One block function for ``v`` under every measure, within
         ``AGREEMENT_ATOL`` times max|v| (the body of ``check_sufficient_for_f``)."""
-        p, charged, ref = self.partition, self.charged, self.ref
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = self._sums(self.weights * v) / self.mass
-        shared = means[ref, np.arange(p.k)]
-        spread = np.where(charged, np.abs(means - shared), 0.0)
-        bad = np.flatnonzero(np.any(spread > AGREEMENT_ATOL * self.f_scale(v), axis=0))
+        p = self.partition
+        values, spread, bad = self._shared_values(v)
         if bad.size:
             b = int(bad[0])
             worst = int(np.argmax(spread[:, b]))
             block = tuple(np.flatnonzero(p.block_of == b).tolist())
-            witness = Witness(int(ref[b]), worst, b, f"conditional means of f on block {b} "
-                              f"{block}", float(spread[worst, b]))
+            witness = Witness(int(self.ref[b]), worst, b, f"conditional means of f on block "
+                              f"{b} {block}", float(spread[worst, b]))
             return SufficiencyCertificate(False, p, witness=witness)
-        g = np.where(charged.any(axis=0), shared, 0.0)[p.block_of]
-        return SufficiencyCertificate(True, p, g=g)
+        return SufficiencyCertificate(True, p, g=values[p.block_of])
 
 
 def check_sufficient(family: MeasureFamily, p: Partition) -> SufficiencyCertificate:
@@ -219,6 +226,11 @@ class SuiteReport:
         return "\n".join(lines)
 
 
+def _unmet(name: str, steps: tuple = (), **details) -> SuiteReport:
+    """The report of a suite whose hypothesis is not met."""
+    return SuiteReport(name, hypothesis_met=False, passed=False, details=details, steps=steps)
+
+
 def _default_f(n: int) -> np.ndarray:
     # generic test vector: separates all outcomes, no symmetry
     return np.arange(1.0, n + 1.0)
@@ -255,17 +267,12 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     if cert.sufficient:
         label, cert = "p2", second.certify()
     if not cert.sufficient:
-        return SuiteReport(name, hypothesis_met=False, passed=False, details={
-            "failed_precondition": f"{label} is not sufficient",
-            "witness": cert.witness.description,
-        }), None, None
+        return _unmet(name, failed_precondition=f"{label} is not sufficient",
+                      witness=cert.witness.description), None, None
     nulls = null_set(family)
     if not (contains_null_field(p1, nulls) or contains_null_field(p2, nulls)):
-        return SuiteReport(name, hypothesis_met=False, passed=False, details={
-            "failed_precondition":
-                "neither partition contains the family's null field",
-            "null_indices": sorted(nulls),
-        }), None, None
+        return _unmet(name, failed_precondition="neither partition contains the family's "
+                      "null field", null_indices=sorted(nulls)), None, None
 
     ground = meet(p1, p2)
     at_meet = _BlockTable(family, ground)
@@ -281,41 +288,32 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     tables = (first, second)
     for rounds in range(1, max_rounds + 1):
         table = tables[(rounds - 1) % 2]
-        served = table.serve(shared)
-        if not served.sufficient:
-            return SuiteReport(name, hypothesis_met=False, passed=False, details={
-                "failed_precondition":
-                    f"trajectories split at round {rounds}: sufficiency violated",
-            }), None, None
-        nxt = served.g
-        per_gamma = table._apply(per_gamma)
-        divergence = max(divergence, float(table.distinf_each(per_gamma, nxt).max()))
-        step = float(table.distinf_each(nxt, shared).max())
-        shared = nxt
+        values, _, bad = table._shared_values(shared)
+        if bad.size:
+            return _unmet(name, failed_precondition=f"trajectories split at round {rounds}: "
+                          "sufficiency violated"), None, None
+        # both trajectories are constant on the table's blocks, and a measure
+        # charges an outcome of block b exactly where ``charged`` holds
+        means = table._sums(table.normalized * per_gamma)
+        per_gamma = means.ravel()[table._labels]
+        divergence = max(divergence, float(_charged_sup(table.charged, means - values).max()))
+        nxt = values[table.partition.block_of]
+        step, shared = table.f_scale(nxt - shared), nxt
         if rounds >= 2 and step <= settle:
             break
 
     direct = at_meet.serve(v)
-    limit_gap = (float(at_meet.distinf_each(shared, direct.g).max())
-                 if direct.sufficient else float("inf"))
+    limit_gap = at_meet.f_scale(shared - direct.g) if direct.sufficient else float("inf")
     projected = at_meet._apply(np.broadcast_to(shared, per_gamma.shape))
     measurable = bool(np.all(at_meet.distinf_each(projected, shared) <= tol))
-    passed = (meet_cert.sufficient and divergence <= tol
-              and limit_gap <= tol and measurable)
-    return SuiteReport(
-        name,
-        hypothesis_met=True,
-        passed=passed,
-        details={
-            "meet_sufficient": meet_cert.sufficient,
-            "trajectory_divergence": divergence,
-            "limit_gap": limit_gap,
-            "limit_meet_measurable": measurable,
-            "rounds": rounds,
-        },
-        conclusion=ground,
-        g=shared,
-    ), at_meet, meet_cert
+    passed = meet_cert.sufficient and divergence <= tol and limit_gap <= tol and measurable
+    return SuiteReport(name, hypothesis_met=True, passed=passed, details={
+        "meet_sufficient": meet_cert.sufficient,
+        "trajectory_divergence": divergence,
+        "limit_gap": limit_gap,
+        "limit_meet_measurable": measurable,
+        "rounds": rounds,
+    }, conclusion=ground, g=shared), at_meet, meet_cert
 
 
 def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
@@ -333,39 +331,26 @@ def decreasing_chain_suite(family: MeasureFamily, chain: Sequence[Partition],
     if not chain:
         raise StructuralError("chain must be non-empty")
     for k in range(len(chain) - 1):
-        if not chain[k + 1].refines(chain[k]) and not chain[k].refines(chain[k + 1]):
-            raise StructuralError(
-                f"chain elements {k} and {k + 1} are incomparable"
-            )
         if not chain[k].refines(chain[k + 1]):
             raise StructuralError(
                 f"chain is not decreasing between elements {k} and {k + 1}"
-            )
+                if chain[k + 1].refines(chain[k]) else
+                f"chain elements {k} and {k + 1} are incomparable")
     name = "decreasing chain sufficiency"
     for k, p in enumerate(chain):
         last = _BlockTable(family, p)
         cert = last.certify()
         if not cert.sufficient:
-            return SuiteReport(name, hypothesis_met=False, passed=False, details={
-                "failed_precondition": f"chain element {k} is not sufficient",
-                "failed_index": k,
-                "witness": cert.witness.description,
-            })
+            return _unmet(name, failed_precondition=f"chain element {k} is not sufficient",
+                          failed_index=k, witness=cert.witness.description)
 
     stable = chain[-1]
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
     served = last.serve(v)
-    return SuiteReport(
-        name,
-        hypothesis_met=True,
-        passed=served.sufficient,
-        details={
-            "stabilizes_at": next(k for k, p in enumerate(chain) if p == stable),
-            "stable_serves_f": served.sufficient,
-        },
-        conclusion=stable,
-        g=served.g,
-    )
+    return SuiteReport(name, hypothesis_met=True, passed=served.sufficient, details={
+        "stabilizes_at": next(k for k, p in enumerate(chain) if p == stable),
+        "stable_serves_f": served.sufficient,
+    }, conclusion=stable, g=served.g)
 
 
 def countable_intersection_suite(family: MeasureFamily,
@@ -386,29 +371,18 @@ def countable_intersection_suite(family: MeasureFamily,
     running = _BlockTable(family, parts[0])
     cert = running.certify()
     if not cert.sufficient:
-        return SuiteReport(name, hypothesis_met=False, passed=False, details={
-            "failed_precondition": "partition 0 is not sufficient",
-            "witness": cert.witness.description,
-        })
+        return _unmet(name, failed_precondition="partition 0 is not sufficient",
+                      witness=cert.witness.description)
     v = _default_f(family.n) if f is None else as_vector(f, family.n)
     steps: list[SuiteReport] = []
     for p in parts[1:]:
         step, running, cert = _pairwise(running, cert, _BlockTable(family, p), v, max_rounds)
         steps.append(step)
         if not step.hypothesis_met:
-            return SuiteReport(name, hypothesis_met=False, passed=False,
-                               details={"failed_at_step": len(steps) - 1},
-                               steps=tuple(steps))
+            return _unmet(name, tuple(steps), failed_at_step=len(steps) - 1)
     g = steps[-1].g if steps else running.serve(v).g
-    return SuiteReport(
-        name,
-        hypothesis_met=True,
-        passed=cert.sufficient and all(s.passed for s in steps),
-        details={
-            "final_meet_sufficient": cert.sufficient,
-            "pairwise_steps": len(steps),
-        },
-        conclusion=running.partition,
-        g=g,
-        steps=tuple(steps),
-    )
+    passed = cert.sufficient and all(s.passed for s in steps)
+    return SuiteReport(name, hypothesis_met=True, passed=passed, details={
+        "final_meet_sufficient": cert.sufficient,
+        "pairwise_steps": len(steps),
+    }, conclusion=running.partition, g=g, steps=tuple(steps))

@@ -271,6 +271,17 @@ def test_lemma_dyadic_overflowing_prefix_is_refused_without_warnings(tmp_path, c
     assert captured.err == "condexp: input error: c must be a finite real, got inf\n"
 
 
+def test_lemma_dyadic_overflowing_average_is_refused_without_warnings(tmp_path, capsys):
+    seq = tmp_path / "seq.csv"
+    seq.write_text("limit=0\n1.5e308\n1.5e308\n")
+    code = main(["lemma", "--which", "dyadic", "--input", str(seq)])
+    captured = capsys.readouterr()
+    assert code == 65
+    assert captured.out == ""
+    assert captured.err == ("condexp: input error: the bound 3 sup |b_m - a0| + |c| "
+                            "must be a finite real, got inf\n")
+
+
 def test_lemma_bad_file(tmp_path, capsys):
     seq = tmp_path / "seq.csv"
     seq.write_text("limit=0\nnot-a-number\n")
@@ -353,6 +364,82 @@ def test_sufficiency_suite_chain_and_countable(coin_file, capsys):
                  "--partitions", "sum,points,sum"])
     assert code == 0
     capsys.readouterr()
+
+
+# Two 4-outcome halves; within each half both measures share one profile, so
+# every partition here is sufficient.  The replays end on rounding values.
+HALVES = {
+    "labels": ["a0", "a1", "a2", "a3", "b0", "b1", "b2", "b3"],
+    "measures": [[0.03, 0.06, 0.09, 0.12, 0.175, 0.175, 0.175, 0.175],
+                 [0.06, 0.12, 0.18, 0.24, 0.1, 0.1, 0.1, 0.1]],
+    "partitions": {"pairs": [[0, 1], [2, 3], [4, 5], [6, 7]],
+                   "shifted": [[0], [1, 2], [3], [4], [5, 6], [7]],
+                   "halves": [[0, 1, 2, 3], [4, 5, 6, 7]],
+                   "points": [[0], [1], [2], [3], [4], [5], [6], [7]]},
+}
+HALVES_F = "--f=0.3,-1.7,2.9,0.1,5,-2.2,0.7,1.3"
+REPLAY = ("intersection sufficiency: pass\n"
+          "  meet_sufficient = True\n"
+          "  trajectory_divergence = 7.993605777301127e-15\n"
+          "  limit_gap = 5.773159728050814e-14\n"
+          "  limit_meet_measurable = True\n"
+          "  rounds = 89\n")
+
+
+@pytest.mark.parametrize("args, expected", [
+    (["--suite", "intersection", "--partitions", "pairs,shifted"], REPLAY),
+    (["--suite", "intersection", "--partitions", "pairs,shifted", HALVES_F],
+     "intersection sufficiency: pass\n"
+     "  meet_sufficient = True\n"
+     "  trajectory_divergence = 8.881784197001252e-16\n"
+     "  limit_gap = 4.574118861455645e-14\n"
+     "  limit_meet_measurable = True\n"
+     "  rounds = 85\n"),
+    (["--suite", "countable", "--partitions", "pairs,shifted,halves"],
+     "countable intersection sufficiency: pass\n"
+     "  final_meet_sufficient = True\n"
+     "  pairwise_steps = 2\n"
+     + "".join("  " + line + "\n" for line in REPLAY.splitlines()) +
+     "  intersection sufficiency: pass\n"
+     "    meet_sufficient = True\n"
+     "    trajectory_divergence = 8.881784197001252e-16\n"
+     "    limit_gap = 0.0\n"
+     "    limit_meet_measurable = True\n"
+     "    rounds = 2\n"),
+    (["--suite", "chain", "--partitions", "points,pairs,halves"],
+     "decreasing chain sufficiency: pass\n"
+     "  stabilizes_at = 2\n"
+     "  stable_serves_f = True\n"),
+    (["--partition", "pairs", HALVES_F],
+     "sufficient: partition 'pairs' serves every measure\n"
+     "g = -1.0333333333333334 -1.0333333333333334 1.3 1.3 1.4000000000000001 "
+     "1.4000000000000001 1.0 1.0\n"),
+    (["--partition", "halves", HALVES_F],
+     "sufficient: partition 'halves' serves every measure\n"
+     "g = 0.6000000000000001 0.6000000000000001 0.6000000000000001 0.6000000000000001 "
+     "1.2 1.2 1.2 1.2\n"),
+], ids=["intersection", "intersection-f", "countable", "chain", "f-pairs", "f-halves"])
+def test_sufficiency_stdout_is_pinned_to_the_byte(args, expected, tmp_path, capsys):
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps(HALVES))
+    code = main(["sufficiency", "--space", str(path)] + args)
+    assert (code, capsys.readouterr().out) == (0, expected)
+
+
+@pytest.mark.parametrize("names, message", [
+    ("pairs,shifted", "chain elements 0 and 1 are incomparable"),
+    ("halves,pairs", "chain is not decreasing between elements 0 and 1"),
+    ("points,pairs,shifted", "chain elements 1 and 2 are incomparable"),
+    ("points,halves,pairs", "chain is not decreasing between elements 1 and 2"),
+])
+def test_sufficiency_chain_order_errors(names, message, tmp_path, capsys):
+    path = tmp_path / "halves.json"
+    path.write_text(json.dumps(HALVES))
+    code = main(["sufficiency", "--space", str(path), "--suite", "chain",
+                 "--partitions", names])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (65, "")
+    assert captured.err == f"condexp: input error: {message}\n"
 
 
 def test_sufficiency_for_f_with_a_negative_first_entry(coin_file, capsys):

@@ -702,6 +702,25 @@ def test_iterate_memory_does_not_grow_with_applications():
     assert peak < 32 * n * 8      # keeping every iterate would take >= 300 * n * 8
 
 
+def test_iterate_on_a_finest_join_builds_no_cell_tables():
+    # the same shifted chains: their join is the finest partition, so the run
+    # alternates on the operators' own tables, measure and limit
+    n = 50_000
+    w = np.full(n, 1.0 / n)
+    ops = [CondExpOperator(partition_of_labels(np.arange(n) // 2), w),
+           CondExpOperator(partition_of_labels((np.arange(n) + 1) // 2), w)]
+    assert join(ops[0].partition, ops[1].partition) == Partition.singletons(n)
+    x = np.linspace(-1.0, 1.0, n)
+    tracemalloc.start()
+    try:
+        report = iterate(ops, x, max_iter=320)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.iterations_used == 320 and report.stop_reason == "iteration cap"
+    assert peak < 12 * n * 8      # cell tables, masses and a limit copy took 17.2 n
+
+
 def test_iterate_stops_only_once_certified():
     # a slowly contracting pair: here a step <= tol still leaves the
     # iterate more than ten times tol from the limit

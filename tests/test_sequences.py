@@ -166,6 +166,18 @@ def test_dyadic_bound_default_c_is_the_smallest_accepted():
         dyadic_bound_check(huge, a0=0.0, c=1e100)
 
 
+def test_dyadic_bound_refuses_an_overflowing_average_deviation_or_bound():
+    # c = 0 is finite here, but the average, the deviation or 3 * sup would be
+    # inf, and a bound of inf checks nothing
+    cases = [([1.5e308, 1.5e308], 0.0, "the bound"),
+             ([1e308, 1e308], -1e308, r"sup \|a_n - a0\|"),
+             ([7e307] * 4, 0.0, "the bound")]
+    for values, a0, name in cases:
+        with pytest.raises(StructuralError, match=f"{name}.* must be a finite real, got inf"):
+            dyadic_bound_check(values, a0=a0)
+    assert dyadic_bound_check([4e307] * 4, a0=0.0).passed
+
+
 def test_dyadic_bound_rejects_small_c():
     n = np.arange(1.0, 101.0)
     with pytest.raises(StructuralError, match="below the prefix sum"):
