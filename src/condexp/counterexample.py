@@ -72,8 +72,9 @@ class ReflectionPoint:
         raise StructuralError(f"family must be 1 or 2, got {family!r}")
 
     def __str__(self) -> str:
-        x1, x2 = self.coordinates()
-        return f"({x1},{x2})"
+        # the radius is positive, so -r prints as '-' then str(r)
+        r = str(self.radius)
+        return f"({'-' if self.s1 < 0 else ''}{r},{'-' if self.s2 < 0 else ''}{r})"
 
 
 def in_diagonal(pt: ReflectionPoint) -> bool:

@@ -79,7 +79,7 @@ def convex_sum_identity(values, limit: float, tol: float = 1e-9) -> IdentityRepo
     bad = first_convexity_violation(a, CONVEXITY_TOL)
     if bad is not None:
         raise StructuralError(f"sequence is not convex: second difference at index {bad} "
-                              f"is {d2[bad]!r}")
+                              f"is {float(d2[bad])!r}")
     weighted = np.arange(1, d2.shape[0] + 1, dtype=float) * d2
     partial = np.cumsum(weighted)
     target = a[0] - limit
@@ -136,7 +136,8 @@ def dyadic_bound_check(values, a0: float, c: float | None = None) -> BoundReport
         )
     levels = int(np.floor(np.log2(n)))
     with np.errstate(over="ignore", invalid="ignore"):    # inf or nan, refused below
-        averages = np.array([float(np.mean(a[: 2 ** m])) for m in range(levels + 1)])
+        # terms scaled by 2^-m: the mean's bits, barring underflow, and no overflowing sum
+        averages = np.array([float(np.sum(a[: 2 ** m] * 2.0 ** -m)) for m in range(levels + 1)])
         sup_dev = _finite(float(np.max(np.abs(a - a0))), "sup |a_n - a0|")
         avg_sup = float(np.max(np.abs(averages - a0)))
     bound = _finite(3.0 * avg_sup + abs(c), "the bound 3 sup |b_m - a0| + |c|")

@@ -27,7 +27,7 @@ def as_vector(values, n: int) -> np.ndarray:
     x = np.asarray(values, dtype=float)
     if x.ndim != 1 or x.shape[0] != n:
         raise StructuralError(f"expected a length-{n} vector, got shape {x.shape}")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         bad = int(np.flatnonzero(~np.isfinite(x))[0])
         raise StructuralError(f"vector entry {bad} is not finite")
     return x
@@ -100,7 +100,7 @@ class MeasureFamily:
         if np.any(off > ROW_SUM_TOL):
             row = int(np.argmax(off))
             raise StructuralError(
-                f"measure row {row} sums to {sums[row]!r}, not 1 within {ROW_SUM_TOL}"
+                f"measure row {row} sums to {float(sums[row])!r}, not 1 within {ROW_SUM_TOL}"
             )
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)

@@ -17,6 +17,8 @@ masses once, serves a test function and averages all m rows of an m x n
 stack in one pass.  A suite builds its tables once; a round compares
 block values, on which both versions are constant, and each per-measure
 row is the operator's own output by construction: one kernel runs both.
+With its constants hoisted out of the loop, each of a round's tests is
+one masked reduce, and its next split bound a max over the k values.
 Every tolerance and the suites' stop threshold scale with max|f|, so no
 verdict changes when f is scaled.
 """
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .operators import _BlockAverages, _charged_sup
+from .operators import _BlockAverages, _charged_sup, _masked_sup
 from .space import (
     MeasureFamily,
     Partition,
@@ -283,22 +285,31 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     # row gamma: the trajectory of measure gamma's own conditional expectations
     per_gamma = np.broadcast_to(v, (family.m, family.n))
     divergence = 0.0
-    scale = at_meet.f_scale(v)
+    bound = scale = at_meet.f_scale(v)
     settle, tol = 1e-14 * scale, TRAJECTORY_TOL * scale
-    tables = (first, second)
+    # per table, once: the flat bin of each block's reference mean
+    tables = [(t, t.ref * t.partition.k + np.arange(t.partition.k)) for t in (first, second)]
     for rounds in range(1, max_rounds + 1):
-        table = tables[(rounds - 1) % 2]
-        values, _, bad = table._shared_values(shared)
-        if bad.size:
+        table, ref_bins = tables[(rounds - 1) % 2]
+        charged = table.charged
+        # a measure's sum over a block it does not charge is 0, and only charged
+        # sums are divided, so a block no measure charges gets the value 0
+        means = table._sums(table.weights * shared)
+        np.divide(means, table.mass, out=means, where=charged)
+        values = means.ravel()[ref_bins]
+        if np.fmax.reduce(np.abs(means - values), axis=None, where=charged,
+                          initial=0.0) > AGREEMENT_ATOL * bound:
             return _unmet(name, failed_precondition=f"trajectories split at round {rounds}: "
                           "sufficiency violated"), None, None
         # both trajectories are constant on the table's blocks, and a measure
         # charges an outcome of block b exactly where ``charged`` holds
         means = table._sums(table.normalized * per_gamma)
         per_gamma = means.ravel()[table._labels]
-        divergence = max(divergence, float(_charged_sup(table.charged, means - values).max()))
+        divergence = max(divergence, _masked_sup(means - values, charged))
         nxt = values[table.partition.block_of]
-        step, shared = table.f_scale(nxt - shared), nxt
+        step, shared = _masked_sup(nxt - shared, at_meet._seen_by_any), nxt
+        # max|shared| over the charged outcomes: the blocks holding none are 0
+        bound = float(np.abs(values).max())
         if rounds >= 2 and step <= settle:
             break
 

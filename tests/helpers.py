@@ -18,6 +18,7 @@ from condexp import (
     CondExpOperator,
     MeasureFamily,
     Partition,
+    PropertyReport,
     SuiteReport,
     WeightedInnerProduct,
     check_sufficient,
@@ -28,6 +29,7 @@ from condexp import (
     null_set,
     sandwich_product,
 )
+from condexp.rng import portable_rng
 from condexp.sufficiency import TRAJECTORY_TOL
 
 
@@ -496,3 +498,31 @@ def countable_suite_rebuilding_operators(family: MeasureFamily, parts, f=None,
         details={"final_meet_sufficient": final_cert.sufficient,
                  "pairwise_steps": len(steps)},
         conclusion=running, g=g, steps=tuple(steps))
+
+
+def projection_properties_by_public_api(op: CondExpOperator, trials: int,
+                                        seed: int = 0) -> PropertyReport:
+    """``verify_projection_properties`` through the checked public methods:
+    the same draws, every vector validated again by ``apply`` and the norms."""
+    rng = portable_rng(seed)
+    ip = op.ip
+    worst = dict.fromkeys(
+        ("self_adjoint", "idempotent", "contraction_l1", "contraction_l2",
+         "contraction_linf", "orthogonality"), 0.0)
+    for _ in range(trials):
+        x = rng.uniform(-1.0, 1.0, op.n)
+        y = rng.uniform(-1.0, 1.0, op.n)
+        tx, ty = op.apply(x), op.apply(y)
+        worst["self_adjoint"] = max(worst["self_adjoint"],
+                                    abs(ip.inner(tx, y) - ip.inner(x, ty)))
+        worst["idempotent"] = max(worst["idempotent"],
+                                  float(np.max(np.abs(op.apply(tx) - tx))))
+        worst["contraction_l1"] = max(worst["contraction_l1"],
+                                      ip.norm1(tx) - ip.norm1(x))
+        worst["contraction_l2"] = max(worst["contraction_l2"],
+                                      ip.norm2(tx) - ip.norm2(x))
+        worst["contraction_linf"] = max(worst["contraction_linf"],
+                                        ip.norminf(tx) - ip.norminf(x))
+        worst["orthogonality"] = max(worst["orthogonality"],
+                                     abs(ip.inner(x - tx, ty)))
+    return PropertyReport(trials=trials, **worst)

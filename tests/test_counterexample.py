@@ -90,6 +90,16 @@ def test_signs_are_integers_plus_or_minus_one_never_truncated():
     assert pt == ReflectionPoint(Fraction(1), -1, 1) and type(pt.s1) is int
 
 
+def test_point_labels_are_the_signed_coordinates():
+    assert str(ReflectionPoint(Fraction(3), 1, -1)) == "(3,-3)"
+    assert str(ReflectionPoint(Fraction(3, 2), -1, 1)) == "(-3/2,3/2)"
+    assert str(ReflectionPoint(Fraction(7, 4), -1, -1)) == "(-7/4,-7/4)"
+    assert str(ReflectionPoint(Fraction(1, 3), 1, 1)) == "(1/3,1/3)"
+    for pt in (ReflectionPoint(Fraction(5, 6), s1, s2) for s1 in (1, -1) for s2 in (1, -1)):
+        x1, x2 = pt.coordinates()
+        assert str(pt) == f"({x1},{x2})"
+
+
 def test_diagonal_predicate():
     assert in_diagonal(ReflectionPoint(Fraction(3), 1, 1))
     assert in_diagonal(ReflectionPoint(Fraction(3), -1, -1))

@@ -108,6 +108,12 @@ def test_convex_sum_identity_rejects_nonconvex():
         convex_sum_identity([0.0, 1.0, 0.0], limit=0.0)
 
 
+def test_nonconvex_message_prints_a_plain_float():
+    with pytest.raises(StructuralError) as exc:
+        convex_sum_identity([1, 0, 1, 0, 1], 0.0)
+    assert str(exc.value) == "sequence is not convex: second difference at index 1 is -2.0"
+
+
 def test_convex_sum_identity_operator_norm_sequence():
     t1 = CondExpOperator(Partition([[0, 1], [2, 3]]), np.full(4, 0.25))
     t2 = CondExpOperator(Partition([[0, 2], [1, 3]]), np.full(4, 0.25))
@@ -176,6 +182,17 @@ def test_dyadic_bound_refuses_an_overflowing_average_deviation_or_bound():
         with pytest.raises(StructuralError, match=f"{name}.* must be a finite real, got inf"):
             dyadic_bound_check(values, a0=a0)
     assert dyadic_bound_check([4e307] * 4, a0=0.0).passed
+
+
+def test_dyadic_averages_of_huge_terms_do_not_overflow():
+    # the running sum of [5e307] * 4 overflows, but every average is 5e307
+    report = dyadic_bound_check([5e307] * 4, a0=0.0)
+    assert report.passed and report.bound == 1.5e308
+    assert report.averages.tolist() == [5e307] * 3
+    # on ordinary terms the scaled sums are the means, bit for bit
+    a = portable_rng(33).uniform(-1.0, 1.0, 1000)
+    averages = dyadic_bound_check(a, a0=0.0).averages
+    assert averages.tolist() == [float(np.mean(a[: 2 ** m])) for m in range(10)]
 
 
 def test_dyadic_bound_rejects_small_c():

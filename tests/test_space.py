@@ -145,6 +145,12 @@ def test_measure_family_rejects_offsum_beyond_tolerance():
     MeasureFamily([[1 / 3, 1 / 3, 1 / 3]])
 
 
+def test_offsum_message_prints_a_plain_float():
+    with pytest.raises(StructuralError) as exc:
+        MeasureFamily([[0.5, 0.4]])
+    assert str(exc.value) == "measure row 0 sums to 0.9, not 1 within 1e-12"
+
+
 # ---------------------------------------------------------------------------
 # meet / join examples
 

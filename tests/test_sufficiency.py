@@ -1,5 +1,7 @@
 """Sufficiency certificates, witnesses, and the intersection suites."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,7 @@ from helpers import (
     countable_suite_rebuilding_operators,
     dyadic_measure_rows,
     intersection_suite_rebuilding_operators,
+    partition_of_labels,
     random_partition,
     random_refinement,
     shared_conditional_family,
@@ -519,3 +522,23 @@ def test_chain_whose_stable_element_cannot_serve_f_fails():
                                     f=ALTERNATING)
     assert report.hypothesis_met and not report.passed
     assert report.details["stable_serves_f"] is False and report.g is None
+
+
+def test_suite_memory_stays_within_a_few_stacks():
+    # p1 and p2 pair neighbours inside base blocks of 8, so the join is finest
+    # and the meet is the base; every measure shares one profile per base block
+    n, m = 50_000, 3
+    rng = portable_rng(41)
+    i = np.arange(n)
+    w = rng.uniform(0.5, 1.5, (m, n // 8))[:, i // 8] * rng.uniform(0.5, 1.5, n)
+    family = MeasureFamily(w / w.sum(axis=1, keepdims=True))
+    p1 = partition_of_labels(i // 2)
+    p2 = partition_of_labels(i // 8 * 8 + (i % 8 + 1) // 2)
+    tracemalloc.start()
+    try:
+        report = intersection_sufficiency_suite(family, p1, p2, max_rounds=20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.hypothesis_met and report.details["rounds"] == 20
+    assert peak < 18 * m * n * 8      # 16.9 m x n; stacking both trajectories took 26.8
