@@ -61,7 +61,7 @@ def _charged_sup(seen: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.where(seen, np.abs(X), 0.0).max(axis=-1)
 
 
-def _masked_sup(X: np.ndarray, seen: np.ndarray) -> float:
+def _masked_sup(seen: np.ndarray, X: np.ndarray) -> float:
     """The sup of |X| over every entry ``seen`` marks (0 if none), as a float."""
     return float(np.maximum.reduce(np.abs(X), axis=None, where=seen, initial=0.0))
 
@@ -419,8 +419,8 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
         d = cur - prev
         diffs2.append(float(np.dot(mass, d * d)))
         norms2.append(float(np.dot(mass, cur * cur)))
-        residuals.append(_masked_sup(cur - cell_limit, seen))
-        step = _masked_sup(d, seen)
+        residuals.append(_masked_sup(seen, cur - cell_limit))
+        step = _masked_sup(seen, d)
 
     return IterationReport(
         final=cur[cell_of],

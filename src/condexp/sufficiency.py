@@ -305,9 +305,9 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
         # charges an outcome of block b exactly where ``charged`` holds
         means = table._sums(table.normalized * per_gamma)
         per_gamma = means.ravel()[table._labels]
-        divergence = max(divergence, _masked_sup(means - values, charged))
+        divergence = max(divergence, _masked_sup(charged, means - values))
         nxt = values[table.partition.block_of]
-        step, shared = _masked_sup(nxt - shared, at_meet._seen_by_any), nxt
+        step, shared = _masked_sup(at_meet._seen_by_any, nxt - shared), nxt
         # max|shared| over the charged outcomes: the blocks holding none are 0
         bound = float(np.abs(values).max())
         if rounds >= 2 and step <= settle:
