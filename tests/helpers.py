@@ -5,7 +5,8 @@ via transitive closure, joins via set intersections, operators as explicit
 matrices built from basis vectors, block averages and sup norms as
 per-row bincounts and gathers, sufficiency by exhaustive indicator
 checking or by plain loops over blocks, the theorem suites with their
-operators rebuilt every round.  Tests compare the library against these.
+operators rebuilt every round, the projection probe through the checked
+public methods.  Tests compare the library against these.
 """
 
 from __future__ import annotations
