@@ -34,8 +34,8 @@ from .sufficiency import SuiteReport, _BlockTable, check_sufficient
 
 
 def _as_radius(value) -> Fraction:
-    r = Fraction(value)
-    if r <= 0:
+    r = value if type(value) is Fraction else Fraction(value)
+    if r.numerator <= 0:    # a Fraction's denominator is positive
         raise StructuralError(f"radius must be positive, got {r}")
     return r
 

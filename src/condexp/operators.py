@@ -18,9 +18,8 @@ otherwise its sums are taken over cells and differ in the last digits.
 One private table, ``_BlockAverages``, averages one weight row or an
 m x n stack: ``CondExpOperator`` is its one-row view and the sufficiency
 block table its m-row view, so their rows agree bit for bit by
-construction.  Two kernels take every sup over the outcomes a measure
-charges: ``_charged_sup`` per row, and ``_masked_sup``, one masked reduce,
-in the alternating loops' small arrays.
+construction.  One kernel, ``_masked_sup``, takes every sup over the
+outcomes a measure charges, as one masked reduce over a vector or stack.
 
 Conventions: a block of total weight zero maps to output value 0, which
 keeps the operator linear and self-adjoint as written; all norms ignore
@@ -54,11 +53,6 @@ from .space import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 10_000
-
-
-def _charged_sup(seen: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Per row, the sup of |X| over the outcomes ``seen`` marks (0 if none)."""
-    return np.where(seen, np.abs(X), 0.0).max(axis=-1)
 
 
 def _masked_sup(seen: np.ndarray, X: np.ndarray) -> float:
@@ -101,19 +95,10 @@ class _BlockAverages:
         mass_at = self.mass.ravel()[self._labels]
         return np.divide(self.weights, mass_at, out=np.zeros(mass_at.shape), where=mass_at > 0)
 
-    @cached_property
-    def _seen(self) -> np.ndarray:
-        return self.weights > 0
-
     def _apply(self, X: np.ndarray) -> np.ndarray:
         """Row gamma's block average of row gamma of ``X`` (``X`` shaped like the
         weights): the flat ``_sums`` of ``normalized * X``, gathered back."""
         return np.bincount(self._flat, weights=(self.normalized * X).ravel())[self._labels]
-
-    def distinf_each(self, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Per row of the weights, the sup of |X - y| over the outcomes that row
-        charges (``X`` is a stack shaped like the weights, or one vector)."""
-        return _charged_sup(self._seen, X - y)
 
 
 class WeightedInnerProduct:
@@ -157,7 +142,7 @@ class WeightedInnerProduct:
         return float(np.dot(self.measure, x * x))
 
     def _norminf(self, x: np.ndarray) -> float:
-        return float(_charged_sup(self._seen, x))
+        return _masked_sup(self._seen, x)
 
 
 class CondExpOperator(_BlockAverages):
@@ -238,7 +223,7 @@ def direct_meet_operator(ops: Sequence[CondExpOperator]) -> CondExpOperator:
     """
     ops = _sharing_one_measure(ops)
     base = ops[0]
-    nulls = np.flatnonzero(base.measure == 0)
+    nulls = np.flatnonzero(~base.ip._seen)
     target = reduce(meet, (completion(op.partition, nulls) for op in ops))
     return CondExpOperator(target, base.measure)
 
@@ -405,7 +390,7 @@ def iterate(ops: Sequence[CondExpOperator], x, schedule="alternating",
         # the others act.  Stop only once the iterate is certified and every
         # operator is done moving it.
         if (step <= tol and residuals[-1] <= tol
-                and all(_charged_sup(seen, t._apply(cur) - cur) <= tol for t in tables)):
+                and all(_masked_sup(seen, t._apply(cur) - cur) <= tol for t in tables)):
             stop_reason = "tolerance met"
             break
         if len(norms2) >= max_iter:

@@ -76,10 +76,11 @@ def convex_sum_identity(values, limit: float, tol: float = 1e-9) -> IdentityRepo
     limit = _finite(limit, "limit")
     _tolerance(tol)
     d2 = second_difference(a)
-    bad = first_convexity_violation(a, CONVEXITY_TOL)
-    if bad is not None:
-        raise StructuralError(f"sequence is not convex: second difference at index {bad} "
-                              f"is {float(d2[bad])!r}")
+    bad = np.flatnonzero(d2 < -CONVEXITY_TOL)
+    if bad.size:
+        i = int(bad[0])
+        raise StructuralError(f"sequence is not convex: second difference at index {i} "
+                              f"is {float(d2[i])!r}")
     weighted = np.arange(1, d2.shape[0] + 1, dtype=float) * d2
     partial = np.cumsum(weighted)
     target = a[0] - limit

@@ -116,6 +116,11 @@ class MeasureFamily:
     def row(self, gamma: int) -> np.ndarray:
         return self.weights[gamma]
 
+    @cached_property
+    def _charged(self) -> np.ndarray:
+        """Where some measure of the family puts positive weight."""
+        return self.weights.any(axis=0)
+
     @classmethod
     def uniform(cls, n: int) -> "MeasureFamily":
         _count(n, "n")
@@ -303,7 +308,7 @@ def join(p1: Partition, p2: Partition) -> Partition:
 
 def null_set(family: MeasureFamily) -> frozenset[int]:
     """Outcome indices carrying zero weight under every measure of the family."""
-    return frozenset(int(i) for i in np.flatnonzero(~family.weights.any(axis=0)))
+    return frozenset(np.flatnonzero(~family._charged).tolist())
 
 
 def completion(p: Partition, nulls: Iterable[int]) -> Partition:

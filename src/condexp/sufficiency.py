@@ -17,21 +17,22 @@ masses once, serves a test function and averages all m rows of an m x n
 stack in one pass.  A suite builds its tables once; a round compares
 block values, on which both versions are constant, and each per-measure
 row is the operator's own output by construction: one kernel runs both.
-With its constants hoisted out of the loop, each of a round's tests is
-one masked reduce, and its next split bound a max over the k values.
-Every tolerance and the suites' stop threshold scale with max|f|, so no
-verdict changes when f is scaled.
+One routine takes each measure's block means, for serving f and for a
+round alike; every sup over charged outcomes is one masked reduce, and
+the family's support is one cached mask.  Every tolerance and the
+suites' stop threshold scale with max|f|, so no verdict changes when f
+is scaled.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .operators import _BlockAverages, _charged_sup, _masked_sup
+from .operators import _BlockAverages, _masked_sup
 from .space import (
     MeasureFamily,
     Partition,
@@ -41,7 +42,6 @@ from .space import (
     as_vector,
     completion,
     meet,
-    null_set,
 )
 
 # Conditional weight profiles lie in [0, 1], so check_sufficient takes
@@ -101,10 +101,10 @@ class _BlockTable(_BlockAverages):
     """The family's m-row block-average table on one partition.
 
     On top of the shared table (block masses, normalized weights, stacked
-    averages, per-measure sup distances) it holds ``charged``, where the
-    m x k mass is positive, and ``ref``, the first measure charging each
-    block (0 where none does).  Vectors handed to the methods are already
-    validated float arrays of length n.
+    averages) it holds ``charged``, where the m x k mass is positive,
+    ``ref``, the first measure charging each block (0 where none does), and
+    ``_ref_bins``, the flat bin of each block's reference mean.  Vectors
+    handed to the methods are already validated float arrays of length n.
     """
 
     def __init__(self, family: MeasureFamily, p: Partition):
@@ -114,14 +114,11 @@ class _BlockTable(_BlockAverages):
         self.family = family
         self.charged = self.mass > 0
         self.ref = np.argmax(self.charged, axis=0)
-
-    @cached_property
-    def _seen_by_any(self) -> np.ndarray:
-        return self.family.weights.any(axis=0)
+        self._ref_bins = self.ref * p.k + np.arange(p.k)
 
     def f_scale(self, v: np.ndarray) -> float:
         """Largest |v| over the outcomes some measure charges."""
-        return float(_charged_sup(self._seen_by_any, v))
+        return _masked_sup(self.family._charged, v)
 
     def certify(self) -> SufficiencyCertificate:
         """The distributional criterion (the body of ``check_sufficient``)."""
@@ -141,23 +138,21 @@ class _BlockTable(_BlockAverages):
         profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
         return SufficiencyCertificate(True, p, _profile=profile)
 
-    def _shared_values(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per block, the first charging measure's mean of ``v`` (0 where none
-        charges), the m x k spread of the charging measures' means about it, and
-        the blocks where that exceeds ``AGREEMENT_ATOL`` times max|v|."""
-        charged, ref = self.charged, self.ref
-        with np.errstate(invalid="ignore", divide="ignore"):
-            means = self._sums(self.weights * v) / self.mass
-        shared = means[ref, np.arange(self.partition.k)]
-        spread = np.where(charged, np.abs(means - shared), 0.0)
-        bad = np.flatnonzero(np.any(spread > AGREEMENT_ATOL * self.f_scale(v), axis=0))
-        return np.where(charged.any(axis=0), shared, 0.0), spread, bad
+    def _block_means(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The m x k means of ``v`` where ``charged`` holds (the sum 0 elsewhere),
+        and per block the reference measure's mean.  Only charged sums are
+        divided, so a block no measure charges gets the value 0."""
+        means = self._sums(self.weights * v)
+        np.divide(means, self.mass, out=means, where=self.charged)
+        return means, means.ravel()[self._ref_bins]
 
     def serve(self, v: np.ndarray) -> SufficiencyCertificate:
         """One block function for ``v`` under every measure, within
         ``AGREEMENT_ATOL`` times max|v| (the body of ``check_sufficient_for_f``)."""
         p = self.partition
-        values, spread, bad = self._shared_values(v)
+        means, values = self._block_means(v)
+        spread = np.where(self.charged, np.abs(means - values), 0.0)
+        bad = np.flatnonzero(np.any(spread > AGREEMENT_ATOL * self.f_scale(v), axis=0))
         if bad.size:
             b = int(bad[0])
             worst = int(np.argmax(spread[:, b]))
@@ -193,7 +188,7 @@ def check_sufficient_for_f(family: MeasureFamily, p: Partition, f) -> Sufficienc
     return _BlockTable(family, p).serve(as_vector(f, p.n))
 
 
-def contains_null_field(p: Partition, nulls: frozenset[int]) -> bool:
+def contains_null_field(p: Partition, nulls: Iterable[int]) -> bool:
     """True iff the field of ``p`` already contains every family-null set,
     i.e. completing ``p`` changes nothing."""
     return completion(p, nulls) == p
@@ -271,10 +266,10 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     if not cert.sufficient:
         return _unmet(name, failed_precondition=f"{label} is not sufficient",
                       witness=cert.witness.description), None, None
-    nulls = null_set(family)
+    nulls = np.flatnonzero(~family._charged)
     if not (contains_null_field(p1, nulls) or contains_null_field(p2, nulls)):
         return _unmet(name, failed_precondition="neither partition contains the family's "
-                      "null field", null_indices=sorted(nulls)), None, None
+                      "null field", null_indices=nulls.tolist()), None, None
 
     ground = meet(p1, p2)
     at_meet = _BlockTable(family, ground)
@@ -287,16 +282,10 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     divergence = 0.0
     bound = scale = at_meet.f_scale(v)
     settle, tol = 1e-14 * scale, TRAJECTORY_TOL * scale
-    # per table, once: the flat bin of each block's reference mean
-    tables = [(t, t.ref * t.partition.k + np.arange(t.partition.k)) for t in (first, second)]
     for rounds in range(1, max_rounds + 1):
-        table, ref_bins = tables[(rounds - 1) % 2]
+        table = (first, second)[(rounds - 1) % 2]
         charged = table.charged
-        # a measure's sum over a block it does not charge is 0, and only charged
-        # sums are divided, so a block no measure charges gets the value 0
-        means = table._sums(table.weights * shared)
-        np.divide(means, table.mass, out=means, where=charged)
-        values = means.ravel()[ref_bins]
+        means, values = table._block_means(shared)
         if np.fmax.reduce(np.abs(means - values), axis=None, where=charged,
                           initial=0.0) > AGREEMENT_ATOL * bound:
             return _unmet(name, failed_precondition=f"trajectories split at round {rounds}: "
@@ -307,7 +296,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
         per_gamma = means.ravel()[table._labels]
         divergence = max(divergence, _masked_sup(charged, means - values))
         nxt = values[table.partition.block_of]
-        step, shared = _masked_sup(at_meet._seen_by_any, nxt - shared), nxt
+        step, shared = _masked_sup(family._charged, nxt - shared), nxt
         # max|shared| over the charged outcomes: the blocks holding none are 0
         bound = float(np.abs(values).max())
         if rounds >= 2 and step <= settle:
@@ -316,7 +305,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
     direct = at_meet.serve(v)
     limit_gap = at_meet.f_scale(shared - direct.g) if direct.sufficient else float("inf")
     projected = at_meet._apply(np.broadcast_to(shared, per_gamma.shape))
-    measurable = bool(np.all(at_meet.distinf_each(projected, shared) <= tol))
+    measurable = _masked_sup(family.weights > 0, projected - shared) <= tol
     passed = meet_cert.sufficient and divergence <= tol and limit_gap <= tol and measurable
     return SuiteReport(name, hypothesis_met=True, passed=passed, details={
         "meet_sufficient": meet_cert.sufficient,

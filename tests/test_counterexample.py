@@ -78,6 +78,20 @@ def test_point_validation():
         ReflectionPoint(Fraction(1), 2, 1)
 
 
+def test_exact_radii_are_kept_and_nonpositive_ones_refused():
+    for bad in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(StructuralError, match="radius must be positive"):
+            ReflectionPoint(bad, 1, 1)
+        with pytest.raises(StructuralError, match="radius must be positive"):
+            orbit(bad)
+        with pytest.raises(StructuralError, match="radius must be positive"):
+            finite_truncation([Fraction(1), bad])
+    r = Fraction(3, 2)
+    assert ReflectionPoint(r, 1, 1).radius is r
+    assert all(pt.radius is r for pt in orbit(r))
+    assert ReflectionPoint(0.5, 1, 1).radius == Fraction(1, 2)
+
+
 def test_signs_are_integers_plus_or_minus_one_never_truncated():
     for bad in (1.5, -1.5, 0.5, True, False, "1", Fraction(1), None):
         with pytest.raises(StructuralError, match="sign must be"):

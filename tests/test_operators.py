@@ -812,14 +812,10 @@ def test_block_average_table_equals_the_separate_kernels_bit_for_bit():
              Partition.trivial(n) if case % 5 == 1 else
              random_partition(rng, n) if case % 5 == 2 else random_refinement(rng, base))
         X = rng.uniform(-1, 1, (m, n)) * 10.0 ** rng.uniform(-3, 6)
-        y = rng.uniform(-1, 1, n)
+        rng.uniform(-1, 1, n)  # drawn so that later cases keep their inputs
         table = _BlockTable(fam, p)
         stacked = table._apply(X)
         assert np.array_equal(stacked, block_averages_stacked(p, fam.weights, X))
-        assert np.array_equal(table.distinf_each(X, y),
-                              [norminf_by_gather(w, x - y) for w, x in zip(fam.weights, X)])
-        assert np.array_equal(table.distinf_each(X[0], y),
-                              [norminf_by_gather(w, X[0] - y) for w in fam.weights])
         for gamma, (w, x) in enumerate(zip(fam.weights, X)):
             op = CondExpOperator(p, w)
             applied = op.apply(x)
