@@ -286,8 +286,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
         table = (first, second)[(rounds - 1) % 2]
         charged = table.charged
         means, values = table._block_means(shared)
-        if np.fmax.reduce(np.abs(means - values), axis=None, where=charged,
-                          initial=0.0) > AGREEMENT_ATOL * bound:
+        if _masked_sup(charged, means - values) > AGREEMENT_ATOL * bound:
             return _unmet(name, failed_precondition=f"trajectories split at round {rounds}: "
                           "sufficiency violated"), None, None
         # both trajectories are constant on the table's blocks, and a measure
