@@ -27,7 +27,7 @@ from . import counterexample as ce
 from . import sequences
 from .operators import DEFAULT_MAX_ITER, DEFAULT_TOL, CondExpOperator, iterate
 from .space import StructuralError
-from .spacefile import SpaceBundle, load_space_file, space_file_dict, write_space_file
+from .spacefile import SpaceBundle, _read_text, load_space_file, space_file_dict, write_space_file
 from .sufficiency import (
     SuiteReport,
     check_sufficient,
@@ -90,19 +90,10 @@ def _format_vector(v: np.ndarray) -> str:
     return " ".join(texts[inverse].tolist())
 
 
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise StructuralError(f"cannot read {path}: {exc}") from exc
-
-
 def _read_sequence_csv(path) -> tuple[np.ndarray, float | None]:
     """One value per line; an optional ``limit=L`` header declares the limit."""
-    lines = _read_text(path).splitlines()
-    limit = None
-    values = []
-    for lineno, line in enumerate(lines, start=1):
+    limit, values = None, []
+    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
         token = line.strip()
         if not token or token.startswith("#"):
             continue

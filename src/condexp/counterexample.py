@@ -4,7 +4,9 @@ The ambient space is the set of plane points with |x1| = |x2| > 0.  Each
 radius carries one four-point orbit (the sign choices), one probability
 measure putting mass 1/4 on each orbit point, and two generator families:
 a family-1 atom fixes the sign of the first coordinate at one radius, a
-family-2 atom the sign of the second.
+family-2 atom the sign of the second.  A radius is a positive exact
+rational (anything ``Fraction`` refuses is a bad radius); a sign (+1, -1)
+or a family (1, 2) is one of two exact integers.  Bools are refused.
 
 Finite Boolean expressions over these atoms can only mention finitely
 many radii, so no such expression can equal the diagonal x1 = x2:
@@ -32,18 +34,29 @@ from .space import (MeasureFamily, OutcomeSpace, Partition, StructuralError, as_
                     is_measurable, join)
 from .sufficiency import SuiteReport, _BlockTable, check_sufficient
 
+SIGNS, FAMILIES = (-1, 1), (1, 2)
+SIGN_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))    # the order of an orbit's four points
+
 
 def _as_radius(value) -> Fraction:
-    r = value if type(value) is Fraction else Fraction(value)
-    if r.numerator <= 0:    # a Fraction's denominator is positive
-        raise StructuralError(f"radius must be positive, got {r}")
-    return r
+    if type(value) is not Fraction:    # the hot path: an exact radius is kept as it is
+        if isinstance(value, bool):
+            raise StructuralError(f"bad radius {value!r}: a bool is not a number here")
+        try:
+            value = Fraction(value)
+        except (ValueError, ZeroDivisionError, TypeError, OverflowError) as exc:
+            raise StructuralError(f"bad radius {value!r}: {exc}") from exc
+    if value.numerator <= 0:    # a Fraction's denominator is positive
+        raise StructuralError(f"radius must be positive, got {value}")
+    return value
 
 
-def _as_sign(value) -> int:
-    if value not in (-1, 1) or type(value) is not int and (    # exact ints skip the ABC test
+def _as_choice(value, choices: tuple[int, int]) -> int:
+    """A sign or a family: one of two exact integers (no bool, no 1.0), as an int."""
+    if value not in choices or type(value) is not int and (    # exact ints skip the ABC test
             isinstance(value, bool) or not isinstance(value, numbers.Integral)):
-        raise StructuralError(f"sign must be +1 or -1, got {value!r}")
+        rule = "sign must be +1 or -1" if choices == SIGNS else "family must be 1 or 2"
+        raise StructuralError(f"{rule}, got {value!r}")
     return int(value)
 
 
@@ -57,19 +70,17 @@ class ReflectionPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "radius", _as_radius(self.radius))
-        object.__setattr__(self, "s1", _as_sign(self.s1))
-        object.__setattr__(self, "s2", _as_sign(self.s2))
+        object.__setattr__(self, "s1", _as_choice(self.s1, SIGNS))
+        object.__setattr__(self, "s2", _as_choice(self.s2, SIGNS))
 
     def coordinates(self) -> tuple[Fraction, Fraction]:
         return (self.s1 * self.radius, self.s2 * self.radius)
 
     def reflect(self, family: int) -> "ReflectionPoint":
         """Family 1 negates the second coordinate, family 2 the first."""
-        if family == 1:
+        if _as_choice(family, FAMILIES) == 1:
             return ReflectionPoint(self.radius, self.s1, -self.s2)
-        if family == 2:
-            return ReflectionPoint(self.radius, -self.s1, self.s2)
-        raise StructuralError(f"family must be 1 or 2, got {family!r}")
+        return ReflectionPoint(self.radius, -self.s1, self.s2)
 
     def __str__(self) -> str:
         # the radius is positive, so -r prints as '-' then str(r)
@@ -85,8 +96,7 @@ def in_diagonal(pt: ReflectionPoint) -> bool:
 def orbit(radius) -> tuple[ReflectionPoint, ...]:
     """The four sign reflections at one radius, in canonical order."""
     r = _as_radius(radius)
-    return tuple(ReflectionPoint(r, s1, s2)
-                 for s1, s2 in ((1, 1), (1, -1), (-1, 1), (-1, -1)))
+    return tuple(ReflectionPoint(r, s1, s2) for s1, s2 in SIGN_ORDER)
 
 
 class SymbolicSet:
@@ -118,10 +128,9 @@ class GeneratorAtom(SymbolicSet):
     sign: int
 
     def __post_init__(self):
-        if self.family not in (1, 2):
-            raise StructuralError(f"family must be 1 or 2, got {self.family!r}")
+        object.__setattr__(self, "family", _as_choice(self.family, FAMILIES))
         object.__setattr__(self, "radius", _as_radius(self.radius))
-        object.__setattr__(self, "sign", _as_sign(self.sign))
+        object.__setattr__(self, "sign", _as_choice(self.sign, SIGNS))
 
     def contains(self, pt: ReflectionPoint) -> bool:
         if pt.radius != self.radius:
@@ -217,9 +226,6 @@ def refute_diagonal(s: SymbolicSet) -> ReflectionPoint:
 # ---------------------------------------------------------------------------
 # Finite truncations
 
-SIGN_ORDER = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-
 @dataclass(frozen=True)
 class Truncation:
     """The finite space carried by a finite set of radii.
@@ -246,9 +252,7 @@ class Truncation:
         """Index permutation of the reflection map on the truncated outcomes:
         outcome j is 4 * (radius rank) + its ``SIGN_ORDER`` position, and the
         family-i reflection flips bit i - 1 of that position, so j maps to j ^ i."""
-        if family not in (1, 2):
-            raise StructuralError(f"family must be 1 or 2, got {family!r}")
-        return np.arange(self.n) ^ int(family)
+        return np.arange(self.n) ^ _as_choice(family, FAMILIES)
 
 
 def finite_truncation(radii: Iterable) -> Truncation:
@@ -380,13 +384,9 @@ def _parse(tokens: list[str]) -> tuple[SymbolicSet, list[str]]:
         fam_tok, rad_tok, sign_tok, rest = rest[0], rest[1], rest[2], rest[3:]
         if fam_tok not in ("1", "2"):
             raise StructuralError(f"atom family must be 1 or 2, got {fam_tok!r}")
-        try:
-            radius = Fraction(rad_tok)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise StructuralError(f"bad radius {rad_tok!r}: {exc}") from exc
         if sign_tok not in ("+", "-"):
             raise StructuralError(f"atom sign must be '+' or '-', got {sign_tok!r}")
-        node = GeneratorAtom(int(fam_tok), radius, 1 if sign_tok == "+" else -1)
+        node = GeneratorAtom(int(fam_tok), rad_tok, 1 if sign_tok == "+" else -1)
     else:
         raise StructuralError(f"unknown operator {head!r}")
     if not rest or rest[0] != ")":

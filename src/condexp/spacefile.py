@@ -8,8 +8,9 @@ A space file bundles labels, a measure family, and named partitions:
       "partitions": {"rows": [[0, 1], [2, 3]]}
     }
 
-Indices are 0-based integers.  Overlapping or non-covering partition
-blocks are rejected with a diagnostic naming the offending index.
+Indices are 0-based integers; overlapping or non-covering blocks are
+rejected, naming the offending index.  One reader serves every file the
+CLI reads: a missing, unreadable or non-UTF-8 file is a ``SpaceFormatError``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,16 @@ def parse_space_data(data) -> SpaceBundle:
     return SpaceBundle(space, family, partitions)
 
 
-def load_space_file(path) -> SpaceBundle:
-    text = Path(path).read_text()
+def _read_text(path) -> str:
     try:
-        data = json.loads(text)
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
+
+
+def load_space_file(path) -> SpaceBundle:
+    try:
+        data = json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         raise SpaceFormatError(f"{path}: not valid JSON ({exc})") from exc
     return parse_space_data(data)

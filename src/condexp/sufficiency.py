@@ -124,7 +124,7 @@ class _BlockTable(_BlockAverages):
         """The distributional criterion (the body of ``check_sufficient``)."""
         cond, p = self.normalized, self.partition
         lab, charged, ref = p.block_of, self.charged, self.ref
-        profile = cond[ref[lab], np.arange(p.n)]
+        profile = cond[ref[lab], np.arange(p.n)]    # 0 on a block no measure charges
         dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
         gammas, outcomes = np.nonzero(dev > AGREEMENT_ATOL)
         if gammas.size:
@@ -135,7 +135,6 @@ class _BlockTable(_BlockAverages):
             witness = Witness(int(ref[b]), gamma, b, f"indicator of outcome {worst} conditioned "
                               f"on block {b} {tuple(idx.tolist())}", float(dev[gamma, worst]))
             return SufficiencyCertificate(False, p, witness=witness)
-        profile = np.where(charged.any(axis=0)[lab], profile, 0.0)
         return SufficiencyCertificate(True, p, _profile=profile)
 
     def _block_means(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -303,8 +302,11 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
 
     direct = at_meet.serve(v)
     limit_gap = at_meet.f_scale(shared - direct.g) if direct.sufficient else float("inf")
-    projected = at_meet._apply(np.broadcast_to(shared, per_gamma.shape))
-    measurable = _masked_sup(family.weights > 0, projected - shared) <= tol
+    # shared is constant on the last table's blocks: compare per block, via its meet block
+    up = np.empty(table.partition.k, dtype=np.intp)
+    up[table.partition.block_of] = ground.block_of
+    meet_means = at_meet._sums(at_meet.normalized * shared)[:, up]
+    measurable = _masked_sup(table.charged, meet_means - values) <= tol
     passed = meet_cert.sufficient and divergence <= tol and limit_gap <= tol and measurable
     return SuiteReport(name, hypothesis_met=True, passed=passed, details={
         "meet_sufficient": meet_cert.sufficient,

@@ -518,6 +518,34 @@ def test_truncate_duplicate_radii(capsys):
 # ---------------------------------------------------------------------------
 # common behavior
 
+@pytest.mark.parametrize("argv", [
+    # {space}: a valid space file; {bytes}: a file holding b"\xff\xfe"
+    ["iterate", "--space", "missing.json", "--partitions", "rows", "--x", "1,2,3,4"],
+    ["sufficiency", "--space", "missing.json", "--partition", "rows"],
+    ["iterate", "--space", ".", "--partitions", "rows", "--x", "1,2,3,4"],
+    ["iterate", "--space", "{bytes}", "--partitions", "rows", "--x", "1,2,3,4"],
+    ["iterate", "--space", "{space}", "--partitions", "rows", "--x-file", "{bytes}"],
+    ["lemma", "--which", "dyadic", "--input", "{bytes}"],
+    *(["counterexample", "truncate", "--radii", f"1,{r}"]
+      for r in ("abc", "inf", "nan", "0x10", "True", "1/0")),
+])
+def test_unreadable_files_and_bad_radii_are_input_errors(argv, space_file, tmp_path,
+                                                         monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bytes.bin").write_bytes(b"\xff\xfe")
+    code = main([a.format(space=space_file, bytes="bytes.bin") for a in argv])
+    captured = capsys.readouterr()
+    assert code == 65 and not captured.out
+    assert captured.err.startswith("condexp: input error: ")
+
+
+def test_refute_bad_radius_message_is_pinned(capsys):
+    assert main(["counterexample", "refute", "--expr", "(a 1 1/0 +)"]) == 65
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "condexp: input error: bad radius '1/0': Fraction(1, 0)\n"
+
+
 def test_usage_error_exit_code_is_64(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["iterate"])              # missing required flags

@@ -104,6 +104,31 @@ def test_signs_are_integers_plus_or_minus_one_never_truncated():
     assert pt == ReflectionPoint(Fraction(1), -1, 1) and type(pt.s1) is int
 
 
+def test_families_are_integers_one_or_two_never_truncated():
+    t = finite_truncation([1])
+    for bad in (True, 1.0, 2.0, 0, 3, "1", None):
+        with pytest.raises(StructuralError, match="family must be 1 or 2"):
+            GeneratorAtom(bad, Fraction(1), 1)
+        with pytest.raises(StructuralError, match="family must be 1 or 2"):
+            ReflectionPoint(Fraction(1), 1, 1).reflect(bad)
+        with pytest.raises(StructuralError, match="family must be 1 or 2"):
+            t.reflection_permutation(bad)
+    atom = GeneratorAtom(np.int64(2), "3/2", -1)
+    assert type(atom.family) is int and atom.radius == Fraction(3, 2)
+    assert format_set_expression(atom) == "(a 2 3/2 -)"
+    assert parse_set_expression(format_set_expression(atom)) == atom
+
+
+def test_radii_refuse_bools_and_what_fraction_refuses():
+    for bad in (True, False, "abc", "1/0", "0x10", float("inf"), float("nan"), None, 1j):
+        with pytest.raises(StructuralError, match="bad radius"):
+            ReflectionPoint(bad, 1, 1)
+        with pytest.raises(StructuralError, match="bad radius"):
+            orbit(bad)
+        with pytest.raises(StructuralError, match="bad radius"):
+            finite_truncation([Fraction(1), bad])
+
+
 def test_point_labels_are_the_signed_coordinates():
     assert str(ReflectionPoint(Fraction(3), 1, -1)) == "(3,-3)"
     assert str(ReflectionPoint(Fraction(3, 2), -1, 1)) == "(-3/2,3/2)"

@@ -1,6 +1,7 @@
 """Space-description JSON parsing, diagnostics, and round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -108,6 +109,14 @@ def test_load_rejects_non_json(tmp_path):
     path.write_text("{not json")
     with pytest.raises(SpaceFormatError, match="JSON"):
         load_space_file(path)
+
+
+def test_load_refuses_unreadable_files_as_format_errors(tmp_path):
+    undecodable = tmp_path / "bytes.json"
+    undecodable.write_bytes(b"\xff\xfe")
+    for path in (tmp_path / "missing.json", tmp_path, undecodable):
+        with pytest.raises(SpaceFormatError, match=f"^cannot read {re.escape(str(path))}: "):
+            load_space_file(path)
 
 
 def test_dict_form_is_plain_json():
