@@ -5,13 +5,7 @@ runs with a CSV trajectory report), ``lemma`` (sequence checks on a CSV
 prefix), ``sufficiency`` (certificates, witnesses, and theorem suites),
 and ``counterexample`` (the symbolic refuter and finite truncations).
 
-Exit codes, shared by all subcommands:
-    0   success / positive verdict
-    2   negative verdict (not sufficient, not converged, check failed)
-    3   hypothesis not met (suite preconditions failed)
-    64  usage error (bad flags or flag combinations)
-    65  input-format error (malformed file, vector, expression, or radii)
-
+Exit codes, shared by all subcommands, are listed in ``EXIT_CODE_HELP``.
 Identical flags and inputs produce byte-identical output.
 """
 
@@ -19,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
@@ -27,7 +20,8 @@ from . import counterexample as ce
 from . import sequences
 from .operators import DEFAULT_MAX_ITER, DEFAULT_TOL, CondExpOperator, iterate
 from .space import StructuralError
-from .spacefile import SpaceBundle, _read_text, load_space_file, space_file_dict, write_space_file
+from .spacefile import (OutputError, SpaceBundle, _read_text, _write_text, load_space_file,
+                        space_file_dict, write_space_file)
 from .sufficiency import (
     SuiteReport,
     check_sufficient,
@@ -42,6 +36,7 @@ EX_NEGATIVE = 2
 EX_HYPOTHESIS = 3
 EX_USAGE = 64
 EX_DATA = 65
+EX_CANTCREAT = 73
 
 EXIT_CODE_HELP = """exit codes:
   0   success / positive verdict
@@ -49,6 +44,7 @@ EXIT_CODE_HELP = """exit codes:
   3   hypothesis not met (suite preconditions failed)
   64  usage error
   65  input-format error
+  73  output error (a file cannot be written)
 """
 
 
@@ -66,7 +62,7 @@ class UsageError(Exception):
 def _emit(text: str, out_path) -> None:
     sys.stdout.write(text)
     if out_path:
-        Path(out_path).write_text(text)
+        _write_text(out_path, text)
 
 
 def _or_default(value, default):
@@ -141,7 +137,7 @@ def _cmd_iterate(args) -> int:
     lines.append("# limit: " + _format_vector(report.limit))
     csv_text = "\n".join(lines) + "\n"
     if args.report:
-        Path(args.report).write_text(csv_text)
+        _write_text(args.report, csv_text)
     else:
         sys.stdout.write(csv_text)
 
@@ -377,6 +373,9 @@ def main(argv=None) -> int:
     except StructuralError as exc:    # SpaceFormatError included
         print(f"condexp: input error: {exc}", file=sys.stderr)
         return EX_DATA
+    except OutputError as exc:
+        print(f"condexp: output error: {exc}", file=sys.stderr)
+        return EX_CANTCREAT
 
 
 if __name__ == "__main__":

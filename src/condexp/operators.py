@@ -5,7 +5,7 @@ of a partition under a fixed weighting measure.  On the weighted L2 space
 it is a self-adjoint idempotent contraction, and products of two such
 operators drive the alternating iteration whose limit is the conditional
 expectation given the intersection field.  Everything here is matrix-free:
-an application costs two linear passes (block sums, then gather).
+an application costs two linear passes: block sums, then one ``take`` gather.
 
 ``iterate`` pays that O(n) cost once: it runs the limit and the first
 application on the n outcomes, builds the cells (the blocks of the join
@@ -89,16 +89,16 @@ class _BlockAverages:
 
     @cached_property
     def normalized(self) -> np.ndarray:
-        # each weight divided by its block's mass, 0 on zero-mass blocks: a
-        # singleton block of positive mass then has weight exactly 1, so the
-        # operator of the finest partition is the exact identity, bit for bit
-        mass_at = self.mass.ravel()[self._labels]
-        return np.divide(self.weights, mass_at, out=np.zeros(mass_at.shape), where=mass_at > 0)
+        # each weight divided by its block's mass into the gathered masses, so a
+        # zero-mass block keeps its 0: a singleton block of positive mass then has
+        # weight exactly 1, so the finest partition's operator is the identity, bit for bit
+        mass_at = self.mass.ravel().take(self._labels)
+        return np.divide(self.weights, mass_at, out=mass_at, where=mass_at > 0)
 
     def _apply(self, X: np.ndarray) -> np.ndarray:
         """Row gamma's block average of row gamma of ``X`` (``X`` shaped like the
         weights): the flat ``_sums`` of ``normalized * X``, gathered back."""
-        return np.bincount(self._flat, weights=(self.normalized * X).ravel())[self._labels]
+        return np.bincount(self._flat, weights=(self.normalized * X).ravel()).take(self._labels)
 
 
 class WeightedInnerProduct:

@@ -81,13 +81,14 @@ class MeasureFamily:
     """A finite family of probability measures: one weight row per measure.
 
     Rows must be nonnegative and sum to 1 within ``ROW_SUM_TOL``; inputs
-    outside that tolerance are rejected rather than renormalized.
+    outside that tolerance are rejected rather than renormalized.  The family
+    validates and holds its own read-only, C-ordered copy of the weights.
     """
 
     weights: np.ndarray
 
     def __init__(self, weights):
-        w = np.atleast_2d(np.asarray(weights, dtype=float))
+        w = np.array(weights, dtype=float, order="C", ndmin=2)
         if w.ndim != 2 or w.shape[0] < 1 or w.shape[1] < 1:
             raise StructuralError(f"weights must form an m x n grid, got shape {w.shape}")
         if not np.all(np.isfinite(w)):
@@ -131,19 +132,21 @@ class MeasureFamily:
         return cls(np.asarray(weights, dtype=float)[None, :])
 
 
-def _index_array(values, what: str) -> np.ndarray:
+def _index_array(values, what: str, *ids) -> np.ndarray:
     """Outcome indices as a 1-d numeric array, not yet range-checked or cast.
 
     Integral numbers only: booleans, strings, fractions and inf are refused
-    rather than truncated.  Only a float array can hold a fraction or a
-    non-finite value, so only a float array is tested for them.
+    rather than truncated; only a float array can hold the last two, and a 1-d
+    integer array is returned as is.  A refusal names ``what.format(*ids)``.
     """
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        return values
     v = values if isinstance(values, np.ndarray) else list(values)
     a = np.asarray(v)
     if (a.ndim != 1 or a.dtype.kind not in "iuf"
             or a.dtype.kind == "f" and not np.all(np.isfinite(a) & (a == np.round(a)))
             or isinstance(v, list) and not {bool, np.bool_}.isdisjoint(map(type, v))):
-        raise StructuralError(f"{what} holds an outcome index that is not an integer")
+        raise StructuralError(f"{what.format(*ids)} holds an outcome index that is not an integer")
     return a
 
 
@@ -198,31 +201,33 @@ class Partition:
     k: int
 
     def __init__(self, blocks: Iterable[Iterable[int]]):
+        """Concatenates the blocks once and numbers them by their k least elements."""
         parts = []
         for j, b in enumerate(blocks):
-            a = _index_array(b, f"block {j}")
+            a = _index_array(b, "block {}", j)
             if not a.size:
                 raise StructuralError("blocks must be non-empty")
             parts.append(a)
-        flat = np.concatenate(parts) if parts else np.empty(0, dtype=np.intp)
+        if not parts:
+            raise StructuralError("a partition needs at least one block")
+        flat = np.concatenate(parts)
         n = flat.size
-        if flat.min(initial=0) < 0:
+        if flat.min() < 0:
             raise StructuralError(f"negative outcome index {int(flat.min())}")
         # an index at or past n leaves some index below n uncovered
-        inside = flat < n
-        counts = np.bincount(flat[inside].astype(np.intp), minlength=n)
+        inside = (flat if flat.max() < n else flat[flat < n]).astype(np.intp, copy=False)
+        counts = np.bincount(inside, minlength=n)
         if np.any(counts > 1):
             raise StructuralError(f"blocks overlap at index {int(np.argmax(counts > 1))}")
-        if not inside.all():
+        if inside.size < n:
             raise StructuralError(f"blocks do not cover index {int(np.argmin(counts))}")
+        sizes = np.fromiter(map(len, parts), np.intp, len(parts))
+        order = np.argsort(np.minimum.reduceat(inside, np.cumsum(sizes) - sizes))
         labels = np.empty(n, dtype=np.intp)
-        labels[flat.astype(np.intp)] = np.repeat(np.arange(len(parts)), [a.size for a in parts])
-        self._adopt(labels)
+        labels[inside] = np.repeat(np.argsort(order), sizes)    # each block's rank
+        self._adopt(labels, len(parts))
 
-    def _adopt(self, labels: np.ndarray) -> None:
-        if labels.size == 0:
-            raise StructuralError("a partition needs at least one block")
-        block_of, k = _canonical(labels)
+    def _adopt(self, block_of: np.ndarray, k: int) -> None:
         block_of.setflags(write=False)
         object.__setattr__(self, "block_of", block_of)
         object.__setattr__(self, "k", k)
@@ -231,7 +236,7 @@ class Partition:
     def _from_labels(cls, labels: np.ndarray) -> "Partition":
         """The partition whose blocks are the level sets of ``labels``."""
         p = cls.__new__(cls)
-        p._adopt(labels)
+        p._adopt(*_canonical(labels))
         return p
 
     def __eq__(self, other) -> bool:

@@ -26,6 +26,10 @@ class SpaceFormatError(StructuralError):
     """A space-description document is malformed."""
 
 
+class OutputError(OSError):
+    """A report or space file cannot be written: the one writer's failure."""
+
+
 @dataclass(frozen=True)
 class SpaceBundle:
     space: OutcomeSpace
@@ -88,6 +92,13 @@ def _read_text(path) -> str:
         raise SpaceFormatError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_text(path, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def load_space_file(path) -> SpaceBundle:
     try:
         data = json.loads(_read_text(path))
@@ -107,4 +118,4 @@ def space_file_dict(bundle: SpaceBundle) -> dict:
 
 
 def write_space_file(bundle: SpaceBundle, path) -> None:
-    Path(path).write_text(json.dumps(space_file_dict(bundle), indent=2) + "\n")
+    _write_text(path, json.dumps(space_file_dict(bundle), indent=2) + "\n")

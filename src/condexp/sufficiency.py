@@ -121,19 +121,19 @@ class _BlockTable(_BlockAverages):
         return _masked_sup(self.family._charged, v)
 
     def certify(self) -> SufficiencyCertificate:
-        """The distributional criterion (the body of ``check_sufficient``)."""
+        """The distributional criterion (``check_sufficient``); a witness only on failure."""
         cond, p = self.normalized, self.partition
-        lab, charged, ref = p.block_of, self.charged, self.ref
-        profile = cond[ref[lab], np.arange(p.n)]    # 0 on a block no measure charges
-        dev = np.where(charged[:, lab], np.abs(cond - profile), 0.0)
-        gammas, outcomes = np.nonzero(dev > AGREEMENT_ATOL)
-        if gammas.size:
+        lab, ref, n = p.block_of, self.ref, p.n
+        profile = cond.ravel().take(ref.take(lab) * n + np.arange(n))  # 0 where none charges
+        seen, dev = self.charged.take(lab, axis=1), cond - profile
+        if _masked_sup(seen, dev) > AGREEMENT_ATOL:
+            gammas, outcomes = np.nonzero(seen & (np.abs(dev) > AGREEMENT_ATOL))
             first = np.argmin(lab[outcomes] * self.family.m + gammas)
             b, gamma = int(lab[outcomes[first]]), int(gammas[first])
             idx = np.flatnonzero(lab == b)
-            worst = int(idx[np.argmax(dev[gamma, idx])])
+            worst = int(idx[np.argmax(np.abs(dev[gamma, idx]))])    # gamma charges all of b
             witness = Witness(int(ref[b]), gamma, b, f"indicator of outcome {worst} conditioned "
-                              f"on block {b} {tuple(idx.tolist())}", float(dev[gamma, worst]))
+                              f"on block {b} {tuple(idx.tolist())}", abs(float(dev[gamma, worst])))
             return SufficiencyCertificate(False, p, witness=witness)
         return SufficiencyCertificate(True, p, _profile=profile)
 
@@ -143,7 +143,7 @@ class _BlockTable(_BlockAverages):
         divided, so a block no measure charges gets the value 0."""
         means = self._sums(self.weights * v)
         np.divide(means, self.mass, out=means, where=self.charged)
-        return means, means.ravel()[self._ref_bins]
+        return means, means.ravel().take(self._ref_bins)
 
     def serve(self, v: np.ndarray) -> SufficiencyCertificate:
         """One block function for ``v`` under every measure, within
@@ -291,7 +291,7 @@ def _pairwise(first: _BlockTable, first_cert: SufficiencyCertificate,
         # both trajectories are constant on the table's blocks, and a measure
         # charges an outcome of block b exactly where ``charged`` holds
         means = table._sums(table.normalized * per_gamma)
-        per_gamma = means.ravel()[table._labels]
+        per_gamma = means.ravel().take(table._labels)
         divergence = max(divergence, _masked_sup(charged, means - values))
         nxt = values[table.partition.block_of]
         step, shared = _masked_sup(family._charged, nxt - shared), nxt

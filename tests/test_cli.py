@@ -597,6 +597,24 @@ def test_suites_that_read_max_iter_take_it(coin_file, capsys):
         assert "usage error" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, target, reason", [
+    (["counterexample", "truncate", "--radii", "1,2", "--out"], "missing-dir/x.json",
+     "No such file or directory"),
+    (["sufficiency", "--space", "SPACE", "--partition", "rows", "--out"], "",
+     "Is a directory"),
+    (["iterate", "--space", "SPACE", "--partitions", "rows,cols", "--x", "1,2,3,4", "--report"],
+     "missing-dir/r.csv", "No such file or directory"),
+])
+def test_unwritable_outputs_exit_73_with_one_line(argv, target, reason, space_file, tmp_path,
+                                                  capsys):
+    # a missing directory, or a directory in place of the file: exit 73
+    # (EX_CANTCREAT) with one line on stderr, never a traceback
+    path = tmp_path / target
+    argv = [space_file if a == "SPACE" else a for a in argv] + [str(path)]
+    assert main(argv) == 73
+    assert capsys.readouterr().err == f"condexp: output error: cannot write {path}: {reason}\n"
+
+
 def test_every_subcommand_has_help_with_exit_codes(capsys):
     for sub in ("iterate", "lemma", "sufficiency", "counterexample"):
         with pytest.raises(SystemExit) as exc:
@@ -604,7 +622,7 @@ def test_every_subcommand_has_help_with_exit_codes(capsys):
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "exit codes" in out
-        assert "65" in out
+        assert "65" in out and "73  output error" in out
 
 
 def test_determinism_byte_identical_reports(coin_file, tmp_path, capsys):

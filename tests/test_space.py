@@ -6,11 +6,15 @@ import numpy as np
 import pytest
 
 from condexp import (
+    CondExpOperator,
     MeasureFamily,
     OutcomeSpace,
     Partition,
     StructuralError,
+    check_sufficient,
+    check_sufficient_for_f,
     completion,
+    intersection_sufficiency_suite,
     is_measurable,
     join,
     meet,
@@ -24,6 +28,8 @@ from helpers import (
     meet_oracle,
     partition_of_labels,
     random_partition,
+    random_refinement,
+    shared_family_with_gaps,
     sigma_closure,
     sigma_sets,
 )
@@ -119,6 +125,73 @@ def test_partition_from_blocks_of_every_container_equals_the_label_partition():
         assert Partition(blocks) == Partition._from_labels(labels)
 
 
+JUDGED_BLOCKS = [lambda idx, dtype=dtype: idx.astype(dtype)
+                 for dtype in (np.int8, np.int32, np.int64, np.uint64)] + [
+    lambda idx: idx.tolist(),
+    lambda idx: tuple(idx.tolist()),
+    lambda idx: (range(idx.min(), idx.max() + 1) if np.ptp(idx) == idx.size - 1
+                 else idx.tolist()),
+    lambda idx: (int(i) for i in idx),     # a generator
+]
+JUDGED_MIXES = [
+    # int64 with uint64 blocks: numpy promotes their concatenation to float64
+    lambda j, idx: idx.astype(np.uint64 if j % 2 else np.int64),
+    lambda j, idx: idx.tolist() if j % 2 else idx,      # arrays and lists
+]
+
+
+def test_partition_from_blocks_matches_the_label_judge():
+    # the block path concatenates once and numbers blocks by their least
+    # elements; over every block type, alone and mixed, it must land on the
+    # partition of the labels the blocks came from
+    rng = portable_rng(25)
+    makers = [lambda j, idx, make=make: make(idx) for make in JUDGED_BLOCKS] + JUDGED_MIXES
+    for trial in range(120):
+        n = int(rng.integers(1, 120))       # int8 holds every index
+        labels = rng.integers(0, int(rng.integers(1, n + 1)), n)
+        if trial % 2:                       # contiguous blocks, so range blocks occur
+            labels = np.sort(labels)
+        make = makers[trial % len(makers)]
+        blocks = [make(j, rng.permutation(np.flatnonzero(labels == b)))
+                  for j, b in enumerate(rng.permutation(np.unique(labels)))]
+        p = Partition(blocks)
+        assert p == partition_of_labels(labels)
+        assert np.array_equal(p.block_of, canonical_labels(labels))
+
+
+NOT_AN_INTEGER = "holds an outcome index that is not an integer"
+
+
+@pytest.mark.parametrize("blocks, message", [
+    ([[2], np.array([True, False])], f"block 1 {NOT_AN_INTEGER}"),
+    ([[2], [True, 0]], f"block 1 {NOT_AN_INTEGER}"),
+    ([np.array([2]), np.array([0.5, 1.0])], f"block 1 {NOT_AN_INTEGER}"),
+    ([np.array([[0, 1]]), [2]], f"block 0 {NOT_AN_INTEGER}"),
+    ([[0], np.array([], dtype=np.int64)], "blocks must be non-empty"),
+    ([[0], np.array([])], "blocks must be non-empty"),
+    ([[2], [[0], [1]]], f"block 1 {NOT_AN_INTEGER}"),
+    ([[2], ["a", 1]], f"block 1 {NOT_AN_INTEGER}"),
+    ([["0", "1"]], f"block 0 {NOT_AN_INTEGER}"),
+    ([[1], [-1, 0]], "negative outcome index -1"),
+    ([np.array([1]), np.array([-1, 0], dtype=np.int32)], "negative outcome index -1"),
+    ([[0, 1], [1, 2]], "blocks overlap at index 1"),
+    ([np.array([0, 1]), np.array([1, 2], dtype=np.uint64)], "blocks overlap at index 1"),
+    ([[0], [2]], "blocks do not cover index 1"),
+    ([np.array([0, 3]), np.array([1], dtype=np.int8)], "blocks do not cover index 2"),
+    ([np.array([0, 5]), [1]], "blocks do not cover index 2"),
+    ([], "a partition needs at least one block"),
+    ((b for b in ()), "a partition needs at least one block"),
+])
+def test_partition_refusals_keep_their_messages(blocks, message):
+    with pytest.raises(StructuralError) as exc:
+        Partition(blocks)
+    assert str(exc.value) == message
+
+
+def test_partition_accepts_an_integral_float_array():
+    assert Partition([np.array([2.0]), np.array([0.0, 1.0])]) == Partition([[0, 1], [2]])
+
+
 def test_partition_is_one_canonical_label_array():
     p = Partition([[4, 2], [3], [1, 0]])
     assert p.block_of.tolist() == [0, 0, 1, 2, 1]
@@ -149,6 +222,50 @@ def test_offsum_message_prints_a_plain_float():
     with pytest.raises(StructuralError) as exc:
         MeasureFamily([[0.5, 0.4]])
     assert str(exc.value) == "measure row 0 sums to 0.9, not 1 within 1e-12"
+
+
+def test_family_holds_its_own_c_ordered_copy_of_the_weights():
+    w = np.array([[0.25] * 4, [0.5, 0.25, 0.125, 0.125]])
+    view = w[:]
+    fam = MeasureFamily(w)
+    assert w.flags.writeable
+    w[0, 0] = 0.5
+    view[1, 1] = 5.0
+    assert fam.weights.tolist() == [[0.25] * 4, [0.5, 0.25, 0.125, 0.125]]
+    assert not fam.weights.flags.writeable
+    fortran = MeasureFamily(np.asfortranarray(np.full((3, 5), 0.2)))
+    assert fortran.weights.flags.c_contiguous
+
+
+def test_results_do_not_depend_on_the_weights_memory_order():
+    rng = portable_rng(61)
+    fam, base = shared_family_with_gaps(rng, 60, 3, 12)
+    p1 = completion(random_refinement(rng, base), null_set(fam))
+    p2 = random_refinement(rng, base)
+    f = rng.uniform(-1.0, 1.0, 60)
+    bad = fam.weights.copy()
+    i = int(np.flatnonzero(bad[0] > 0)[0])
+    bad[0, i] *= 1.5
+    bad[0] /= bad[0].sum()
+
+    def outcomes(order):
+        family = MeasureFamily(np.asarray(fam.weights, order=order))
+        broken = MeasureFamily(np.asarray(bad, order=order))
+        suite = intersection_sufficiency_suite(family, p1, p2, f=f)
+        good, worse = check_sufficient(family, p1), check_sufficient(broken, base)
+        served = check_sufficient_for_f(family, meet(p1, p2), f)
+        applied = CondExpOperator(p1, family.row(0)).apply(f)
+        verdicts = (good.sufficient, worse.sufficient, served.sufficient, suite.passed)
+        return verdicts, [*map(float.hex, good._profile.tolist()), worse.witness,
+                          float.hex(worse.witness.violation), *map(float.hex, served.g.tolist()),
+                          *map(float.hex, applied.tolist()), suite.conclusion,
+                          *map(float.hex, suite.g.tolist()),
+                          *(float.hex(v) if isinstance(v, float) else v
+                            for v in suite.details.values())]
+
+    c_order = outcomes("C")
+    assert c_order[0] == (True, False, True, True)
+    assert outcomes("F") == c_order
 
 
 # ---------------------------------------------------------------------------
